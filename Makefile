@@ -38,6 +38,7 @@ bench-regression:
 	PYTHONPATH=src $(PYTHON) -m repro.bench.regression run --legacy --out BENCH_baseline.json
 	PYTHONPATH=src $(PYTHON) -m repro.bench.regression run --out BENCH_kernels.json
 	PYTHONPATH=src $(PYTHON) -m repro.bench.regression compare BENCH_kernels.json BENCH_baseline.json --tolerance 0.5
+	PYTHONPATH=src $(PYTHON) -m repro.bench.regression index-ratio BENCH_kernels.json
 	PYTHONPATH=src $(PYTHON) -m repro.bench.regression incremental --out BENCH_incremental.json
 
 examples:

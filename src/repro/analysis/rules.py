@@ -293,8 +293,8 @@ class MissingAnnotationsRule(Rule):
 #: Modules whose search-time code must not loop over genes in Python —
 #: they implement (or feed) the miner's inner loop, where per-gene
 #: Python iteration costs microseconds per element times millions of
-#: elements.  One-time *builders* (kernel packing, RWave model
-#: construction) legitimately chunk by gene and carry line suppressions.
+#: elements.  One-time *builders* (kernel packing) legitimately chunk by
+#: gene and carry line suppressions.
 HOT_LOOP_MODULES = (
     "repro/core/miner.py",
     "repro/core/window.py",

@@ -17,20 +17,19 @@ makes delta updates exact rather than approximate:
   tensor is *byte-identical* to a cold build — asserted by the
   equivalence suite in ``tests/incremental/test_update.py``.
 
-* **Index** (:class:`~repro.core.rwave.RWaveIndex`): a gene's RWave
-  model depends only on its own row and threshold, so ``append_genes``
-  splices the parent's model objects next to freshly built ones and
-  ``drop_genes`` keeps shallow copies of the survivors (re-numbered
-  for diagnostics; the parent index, which may be shared through the
-  artifact cache, is never mutated).  ``append_conditions`` changes
-  every row, so all models are rebuilt — that is the cheap
-  ``O(G C log C)`` part of index construction; the expensive
-  ``O(G C^2)`` packing is what the kernel update above avoids.
+* **Index** (:class:`~repro.core.rwave.RWaveIndex`): a gene's row of
+  every RWave table depends only on its own row and threshold, so
+  ``append_genes`` stacks the parent's table rows on top of rows built
+  for the new genes only, and ``drop_genes`` selects the survivors'
+  rows (fresh arrays: the parent index, which may be shared through
+  the artifact cache, is never mutated).  ``append_conditions`` changes
+  every row, so the index is rebuilt cold — one whole-matrix
+  :func:`~repro.core.rwave.rwave_tables` pass, far cheaper than the
+  kernel packing the update above avoids.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -39,7 +38,7 @@ from numpy.typing import NDArray
 
 from repro.core.kernels import DEFAULT_SLICE_CACHE, RegulationKernel
 from repro.core.regulation import gene_thresholds
-from repro.core.rwave import RWaveIndex, RWaveModel
+from repro.core.rwave import RWaveIndex, RWaveTables, rwave_tables
 from repro.incremental.delta import (
     AppendConditions,
     AppendGenes,
@@ -71,9 +70,9 @@ class IndexUpdate:
     """A delta-updated index plus its reuse accounting."""
 
     index: RWaveIndex
-    #: per-gene RWave models carried over from the parent index
+    #: gene rows of the RWave tables carried over from the parent index
     reused_models: int
-    #: per-gene RWave models built fresh
+    #: gene rows of the RWave tables built fresh
     rebuilt_models: int
 
 
@@ -254,10 +253,9 @@ def update_index(
     gamma = parent_index.gamma
     if isinstance(delta, AppendConditions):
         # Every gene row gained values: all sort orders, pointers and
-        # chain tables may change, so models are rebuilt cold.  This is
-        # the O(G C log C) part of index construction; the O(G C^2)
-        # kernel packing — the expensive part — is what update_kernel
-        # avoids re-doing.
+        # chain tables may change, so the index is rebuilt cold.  The
+        # O(G C^2) kernel packing — the expensive part — is what
+        # update_kernel avoids re-doing.
         index = RWaveIndex(child_matrix, gamma)
         return IndexUpdate(
             index=index,
@@ -274,31 +272,24 @@ def update_index(
                 "parent index thresholds disagree with the child matrix; "
                 "the parent index does not belong to this lineage"
             )
-        new_models = [
-            RWaveModel(
-                child_matrix.values[i], float(child_thresholds[i]), gene=i
-            )
-            # One-time build of the appended genes' models only.
-            for i in range(n_old, child_matrix.n_genes)  # reglint: disable=RL106
-        ]
-        n_conditions = child_matrix.n_conditions
-        new_up = np.empty((len(new_models), n_conditions), dtype=np.intp)
-        new_down = np.empty((len(new_models), n_conditions), dtype=np.intp)
-        for row, model in enumerate(new_models):  # reglint: disable=RL106
-            new_up[row, model.order] = model.max_chain_up
-            new_down[row, model.order] = model.max_chain_down
+        fresh = rwave_tables(
+            child_matrix.values[n_old:], child_thresholds[n_old:]
+        )
         index = RWaveIndex.from_parts(
             child_matrix,
             gamma,
             thresholds=child_thresholds,
-            models=(*parent_index.models, *new_models),
-            max_up=np.vstack([parent_index.max_up, new_up]),
-            max_down=np.vstack([parent_index.max_down, new_down]),
+            tables=RWaveTables(
+                *(
+                    np.vstack([old, new])
+                    for old, new in zip(parent_index.tables, fresh)
+                )
+            ),
         )
         return IndexUpdate(
             index=index,
             reused_models=n_old,
-            rebuilt_models=len(new_models),
+            rebuilt_models=child_matrix.n_genes - n_old,
         )
     # DropGenes (``_check_pair`` already rejected unknown kinds).
     kept = _kept_gene_indices(parent_matrix, delta)
@@ -309,23 +300,12 @@ def update_index(
             "parent index thresholds disagree with the child matrix; "
             "the parent index does not belong to this lineage"
         )
-    survivors = []
-    for new_id, old_id in enumerate(kept):  # reglint: disable=RL106
-        # Shallow copy: the heavy arrays (order/position/chain tables)
-        # are shared read-only with the parent's model; only the
-        # diagnostic gene number is re-pointed.  The parent index — which
-        # may be shared through the artifact cache — is never mutated.
-        model = copy.copy(parent_index.models[int(old_id)])
-        model.gene = new_id
-        survivors.append(model)
     index = RWaveIndex.from_parts(
         child_matrix,
         gamma,
         thresholds=child_thresholds,
-        models=survivors,
-        max_up=np.ascontiguousarray(parent_index.max_up[kept]),
-        max_down=np.ascontiguousarray(parent_index.max_down[kept]),
+        tables=RWaveTables(*(table[kept] for table in parent_index.tables)),
     )
     return IndexUpdate(
-        index=index, reused_models=len(survivors), rebuilt_models=0
+        index=index, reused_models=int(kept.shape[0]), rebuilt_models=0
     )

@@ -4,11 +4,12 @@ Three artifact kinds are memoized:
 
 ``index``
     A pickled :class:`~repro.core.rwave.RWaveIndex`, keyed by matrix
-    content digest + gamma.  Building the index (Definition 3.1 models
-    for every gene plus the max-chain tables) dominates startup cost on
-    large matrices, and the same index serves *every* parameter setting
+    content digest + gamma.  Building the index (the Definition 3.1
+    tables of every gene plus the max-chain tables) costs O(G C^2)
+    comparisons, and the same index serves *every* parameter setting
     that shares gamma — only MinG/MinC/epsilon change between typical
-    sweep jobs.
+    sweep jobs.  The pickle holds only the matrix and flat arrays, and
+    carries a layout tag: an artifact from another layout is a miss.
 ``kernel``
     A pickled :class:`~repro.core.kernels.RegulationKernel` — the
     bit-packed Eq. 3 relation the miner's hot path runs on — keyed the
@@ -387,7 +388,10 @@ class ArtifactCache:
             index = pickle.loads(data)
         except (pickle.UnpicklingError, EOFError, AttributeError,
                 ImportError):
-            # A corrupt or stale artifact is a miss, not an error.
+            # A corrupt or stale artifact is a miss, not an error; an
+            # index pickled under another layout (RWaveIndex's
+            # INDEX_LAYOUT tag) refuses to load with UnpicklingError,
+            # so the caller rebuilds it and overwrites the artifact.
             with self._lock:
                 self._forget(key)
                 self._save_manifest()

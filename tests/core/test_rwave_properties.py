@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.contracts import (
@@ -13,7 +13,7 @@ from repro.analysis.contracts import (
     check_rwave_index,
     check_rwave_model,
 )
-from repro.core.rwave import RWaveIndex, RWaveModel
+from repro.core.rwave import RWaveIndex, RWaveModel, rwave_tables
 from repro.matrix.expression import ExpressionMatrix
 
 profiles = st.lists(
@@ -172,3 +172,106 @@ def test_contracts_reject_unsorted_values():
     model.sorted_values = model.sorted_values[::-1].copy()
     with pytest.raises(ContractViolation):
         check_rwave_model(model)
+
+
+# ----------------------------------------------------------------------
+# The whole-matrix build against a brute-force per-gene oracle
+# ----------------------------------------------------------------------
+
+
+def oracle_model(row, threshold):
+    """Definition 3.1 / Lemma 3.1 of one gene straight from Eq. 3.
+
+    O(C^2) pair checks on Python floats: the stable sort order, the
+    bordering non-embedded pointers, every condition's predecessor and
+    successor sets, and the longest up/down chain from every condition.
+    """
+    n = len(row)
+    order = sorted(range(n), key=lambda c: (row[c], c))
+    values = [row[c] for c in order]
+
+    def regulated(lo, hi):  # positions: hi is up-regulated over lo
+        return values[hi] - values[lo] > threshold
+
+    pointers = [
+        (tail, head)
+        for tail in range(n)
+        for head in range(tail + 1, n)
+        if regulated(tail, head)
+        and not regulated(tail + 1, head)
+        and not regulated(tail, head - 1)
+    ]
+    preds = [{b for b in range(n) if row[c] - row[b] > threshold}
+             for c in range(n)]
+    succs = [{b for b in range(n) if row[b] - row[c] > threshold}
+             for c in range(n)]
+    up, down = [1] * n, [1] * n
+    for c in sorted(range(n), key=lambda c: -row[c]):
+        up[c] = 1 + max((up[b] for b in succs[c]), default=0)
+    for c in sorted(range(n), key=lambda c: row[c]):
+        down[c] = 1 + max((down[b] for b in preds[c]), default=0)
+    return order, pointers, preds, succs, up, down
+
+
+@st.composite
+def gene_batches(draw):
+    """Small matrices on a grid of step 1/4 (exact, so ``a - b`` can
+    equal the threshold exactly) or 1/10 (inexact, so ``a - threshold``
+    and ``a - b`` round differently), with ties, constant rows and
+    zero thresholds."""
+    n_genes = draw(st.integers(1, 5))
+    n_conditions = draw(st.integers(1, 9))
+    step = draw(st.sampled_from([0.25, 0.1]))
+    level = st.integers(-6, 6)
+    rows = draw(st.lists(
+        st.one_of(
+            st.lists(level, min_size=n_conditions, max_size=n_conditions),
+            level.map(lambda v: [v] * n_conditions),
+        ),
+        min_size=n_genes,
+        max_size=n_genes,
+    ))
+    thresholds = draw(st.lists(
+        st.integers(0, 8), min_size=n_genes, max_size=n_genes
+    ))
+    return (
+        np.asarray(rows, dtype=np.float64) * step,
+        np.asarray(thresholds, dtype=np.float64) * step,
+    )
+
+
+@given(gene_batches())
+@example((np.array([[3.0]]), np.array([0.0])))  # C = 1
+@example((np.array([[1.0, 1.0], [2.0, 1.0]]), np.array([0.0, 1.0])))  # C = 2
+@example((np.array([[2.0, 2.0, 2.0]]), np.array([0.0])))  # constant row
+# a - b == threshold exactly (0.5), which Eq. 3 does not regulate
+@example((np.array([[0.0, 0.5, 1.0, 1.0, 1.5]]), np.array([0.5])))
+# Rounding edges where the cutoff test ``b < a - threshold`` disagrees
+# with Eq. 3's ``a - b > threshold``: 3 * 0.1 - (-0.1) == 0.4 exactly
+# (not regulated) although -0.1 < 3 * 0.1 - 0.4; and
+# -0.4 - 6 * -0.1 > 0.2 (regulated) although 6 * -0.1 == -0.4 - 0.2.
+@example((np.array([[3 * 0.1, -0.1]]), np.array([0.4])))
+@example((np.array([[-0.4, 6 * -0.1]]), np.array([0.2])))
+@settings(max_examples=300, deadline=None)
+def test_batch_build_equals_brute_force_oracle(batch):
+    values, thresholds = batch
+    index = RWaveIndex(
+        ExpressionMatrix(values), 0.0, thresholds=thresholds
+    )
+    tables = rwave_tables(values, thresholds)
+    for table, built in zip(tables, index.tables):
+        np.testing.assert_array_equal(table, built)
+    for gene, row in enumerate(values.tolist()):
+        order, pointers, preds, succs, up, down = oracle_model(
+            row, float(thresholds[gene])
+        )
+        model = index.model(gene)
+        assert model.order.tolist() == order
+        assert [(p.tail, p.head) for p in model.pointers] == pointers
+        for condition in range(len(row)):
+            got = model.regulation_predecessors(condition).tolist()
+            assert set(got) == preds[condition]
+            got = model.regulation_successors(condition).tolist()
+            assert set(got) == succs[condition]
+        assert index.max_up[gene].tolist() == up
+        assert index.max_down[gene].tolist() == down

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.core.rwave import RWaveIndex
@@ -12,6 +14,34 @@ from repro.service.cache import ArtifactCache
 @pytest.fixture
 def cache(tmp_path) -> ArtifactCache:
     return ArtifactCache(tmp_path / "cache")
+
+
+class _OldLayoutIndex:
+    """Pickles as an ``RWaveIndex`` carrying a given ``__dict__`` state,
+    the way an index written by an earlier version of the class does."""
+
+    def __init__(self, state):
+        self.state = state
+
+    def __reduce__(self):
+        return (object.__new__, (RWaveIndex,), self.state)
+
+
+def _old_layout_states(index):
+    """An untagged per-gene-model state and a state with an older tag."""
+    untagged = {
+        "matrix": index.matrix,
+        "gamma": index.gamma,
+        "thresholds": index.thresholds,
+        "models": index.models,
+        "max_up": index.max_up,
+        "max_down": index.max_down,
+        "_kernel": None,
+    }
+    return {
+        "untagged": untagged,
+        "older-tag": {**index.__getstate__(), "layout": 1},
+    }
 
 
 class TestIndexArtifacts:
@@ -38,6 +68,49 @@ class TestIndexArtifacts:
         artifact.write_bytes(b"not a pickle")
         assert cache.get_index(digest, 0.15) is None
         assert entry_name not in cache.keys()
+
+    @pytest.mark.parametrize("which", ["untagged", "older-tag"])
+    def test_old_layout_artifact_is_a_miss(self, cache, running_example,
+                                           which):
+        digest = matrix_digest(running_example)
+        index = RWaveIndex(running_example, 0.15)
+        cache.put_index(digest, 0.15, index)
+        (entry_name,) = [k for k in cache.keys() if k.startswith("index-")]
+        state = _old_layout_states(index)[which]
+        artifact = next(cache.root.glob("index-*.pkl"))
+        artifact.write_bytes(pickle.dumps(_OldLayoutIndex(state)))
+        assert cache.get_index(digest, 0.15) is None
+        assert entry_name not in cache.keys()
+        assert cache.stats.index_misses == 1
+        # The rebuilt index replaces the stale artifact.
+        cache.put_index(digest, 0.15, RWaveIndex(running_example, 0.15))
+        again = cache.get_index(digest, 0.15)
+        assert again is not None
+        assert (again.max_up == index.max_up).all()
+
+    def test_service_rebuilds_over_old_layout_artifact(
+        self, tmp_path, running_example, paper_params
+    ):
+        from repro.service.jobs import JobState
+        from repro.service.service import MiningService
+
+        service = MiningService(tmp_path / "store")
+        first = service.submit(running_example, paper_params)
+        service.run_pending()
+        (artifact,) = service.cache.root.glob("index-*.pkl")
+        digest, gamma = first.matrix_digest, paper_params.gamma
+        index = service.cache.get_index(digest, gamma)
+        artifact.write_bytes(
+            pickle.dumps(_OldLayoutIndex(_old_layout_states(index)["untagged"]))
+        )
+        second = service.submit(
+            running_example, paper_params.with_overrides(epsilon=0.3)
+        )
+        service.run_pending()
+        done = service.status(second.job_id)
+        assert done.state is JobState.DONE
+        assert done.index_cache_hit is False
+        assert service.cache.get_index(digest, gamma) is not None
 
     def test_stats_track_hits_and_misses(self, cache, running_example):
         digest = matrix_digest(running_example)
