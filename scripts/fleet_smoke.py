@@ -9,8 +9,8 @@ The distributed counterpart of ``scripts/chaos_smoke.py``
    every shard it leases long enough to be killed mid-mine; the
    survivor mines at full speed.
 2. Submit the paper's running example over HTTP, wait until the victim
-   actually holds a lease, then SIGKILL it — no shutdown handshake, no
-   heartbeat goodbye.
+   actually holds a lease, start the survivor, then SIGKILL the victim
+   — no shutdown handshake, no heartbeat goodbye.
 3. Require the lease to be reclaimed after the TTL, the job to finish
    ``done`` with a result *identical* to a direct in-process
    :func:`repro.core.miner.mine_reg_clusters` run, the per-shard
@@ -144,14 +144,16 @@ def _run(tmp: str, matrix, params, direct) -> int:
              "--cache-dir", str(Path(tmp) / "victim-cache")],
             REPRO_FAULTS=VICTIM_FAULTS,
         )
+        record = client.submit_matrix(matrix, parameters_to_dict(params))
+        job_id = record["job_id"]
+        _wait_for_lease(client, VICTIM)
+        # The survivor joins only once the victim holds a lease: a
+        # full-speed node started alongside it can drain every shard of
+        # the small job before the victim's first poll.
         procs[SURVIVOR] = _spawn(
             [*node_argv, "--node-id", SURVIVOR,
              "--cache-dir", str(Path(tmp) / "survivor-cache")],
         )
-
-        record = client.submit_matrix(matrix, parameters_to_dict(params))
-        job_id = record["job_id"]
-        _wait_for_lease(client, VICTIM)
         procs[VICTIM].kill()  # SIGKILL: no goodbye, the lease just dies
         print(f"fleet: {VICTIM} SIGKILLed while holding a lease")
 

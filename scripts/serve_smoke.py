@@ -17,8 +17,9 @@ Exercises the full `reg-cluster serve` stack end to end:
 5. resubmit and require an idempotent answer served from cache;
 6. on a fresh single-worker store, submit the same matrix/gamma twice
    (different epsilon, so the result cache cannot answer) and require
-   the regulation kernel artifact to be built once and reused — the
-   second job must record a kernel cache hit.
+   the index artifact, which carries the regulation kernel, to be
+   built once and reused — the second job must record a kernel cache
+   hit.
 
 Exit status 0 on success; prints a unified summary either way.
 Used by ``make serve-smoke`` and the CI ``service-smoke`` job.
@@ -135,9 +136,8 @@ def main() -> int:
             server.server_close()
             thread.join(timeout=5)
 
-    # Kernel artifact reuse needs the in-process (single-worker) path:
-    # worker pools build kernels in child processes, so nothing reaches
-    # the parent's artifact cache.
+    # The (matrix, gamma) index artifact carries the packed kernel:
+    # one store on the first job, one hit on the second.
     with tempfile.TemporaryDirectory(prefix="reg-cluster-smoke-") as store:
         service = MiningService(store, n_workers=1)
         try:
@@ -148,8 +148,8 @@ def main() -> int:
                 print("smoke: FAIL — first job should have built the "
                       f"kernel, recorded {first_done.kernel_cache_hit!r}")
                 return 1
-            if service.cache.stats.kernel_stores != 1:
-                print("smoke: FAIL — kernel artifact was not stored")
+            if service.cache.stats.index_stores != 1:
+                print("smoke: FAIL — index artifact was not stored")
                 return 1
 
             # Same matrix and gamma, different epsilon: new job id, so
@@ -166,14 +166,15 @@ def main() -> int:
             if second_done.kernel_cache_hit is not True:
                 print("smoke: FAIL — second job rebuilt the kernel")
                 return 1
-            if service.cache.stats.kernel_hits != 1 or (
-                service.cache.stats.kernel_stores != 1
+            if service.cache.stats.index_hits != 1 or (
+                service.cache.stats.index_stores != 1
             ):
-                print("smoke: FAIL — kernel cache counters off: "
+                print("smoke: FAIL — index cache counters off: "
                       f"{service.cache.stats.as_dict()}")
                 return 1
-            print("smoke: kernel artifact built once, second submission "
-                  "served from cache (kernel_cache_hit recorded)")
+            print("smoke: index artifact (kernel included) built once, "
+                  "second submission served from cache (kernel_cache_hit "
+                  "recorded)")
         finally:
             service.stop()
 

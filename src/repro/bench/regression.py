@@ -161,11 +161,11 @@ def run_case(case: BenchCase, *, use_kernel: bool = True) -> Dict[str, Any]:
     """Measure one case: best wall time over repeats, plus search stats.
 
     The matrix is built once outside the timed regions.  Each repeat
-    times a fresh RWave^gamma index build (``index_seconds``), then
-    constructs a miner on that index — the packed kernel, a
-    per-(matrix, gamma) precomputation amortized across every mining
-    run that shares the index, is built untimed — and times the full
-    search.  The *minimum* over repeats is reported for each timer: for
+    times a fresh RWave^gamma index build (``index_seconds``: the
+    tables and the packed regulation kernel, one per-(matrix, gamma)
+    artifact amortized across every mining run that shares it), then
+    constructs a miner on that index and times the full search.  The
+    *minimum* over repeats is reported for each timer: for
     a deterministic workload the minimum is the least-noise estimator.
     ``phase_seconds`` comes from the same repeat as ``wall_seconds``,
     so the phases never add up to more than the wall time.

@@ -53,9 +53,12 @@ __all__ = ["RegulationKernel", "DEFAULT_SLICE_CACHE"]
 #: with more conditions fall back to LRU reuse along the search path.
 DEFAULT_SLICE_CACHE = 64
 
-#: Gene-axis chunk used while packing, bounding the peak size of the
-#: temporary dense ``(chunk, C, C)`` difference tensor.
-_PACK_CHUNK = 512
+#: Condition pairs compared per packing chunk: genes are packed
+#: ``_PACK_PAIRS // C^2`` at a time, so the temporary dense
+#: ``(chunk, C, C)`` difference tensor stays near 1 MB of floats for
+#: any C.  The kernel is built with the RWave index in the daemon's own
+#: process, so these temporaries count toward the daemon's peak RSS.
+_PACK_PAIRS = 1 << 17
 
 
 class RegulationKernel:
@@ -68,18 +71,9 @@ class RegulationKernel:
     thresholds:
         Per-gene regulation thresholds ``gamma_g`` (Eq. 4), shape
         ``(n_genes,)``, all non-negative.
-    slice_cache:
-        How many dense ``(G, C)`` slices to keep unpacked per direction
-        (LRU).  ``0`` disables caching (every query re-projects).
     """
 
-    def __init__(
-        self,
-        values: ArrayLike,
-        thresholds: ArrayLike,
-        *,
-        slice_cache: int = DEFAULT_SLICE_CACHE,
-    ) -> None:
+    def __init__(self, values: ArrayLike, thresholds: ArrayLike) -> None:
         data = np.ascontiguousarray(values, dtype=np.float64)
         if data.ndim != 2:
             raise ValueError(
@@ -93,25 +87,19 @@ class RegulationKernel:
             )
         if np.any(per_gene < 0):
             raise ValueError("thresholds must be non-negative")
-        if slice_cache < 0:
-            raise ValueError(f"slice_cache must be >= 0, got {slice_cache}")
         self.n_genes, self.n_conditions = data.shape
-        self.slice_cache = int(slice_cache)
         self._packed = self._pack(data, per_gene)
         self._up_cache: "OrderedDict[int, NDArray[np.bool_]]" = OrderedDict()
         self._down_cache: "OrderedDict[int, NDArray[np.bool_]]" = OrderedDict()
 
     @classmethod
     def from_packed(
-        cls,
-        packed: NDArray[np.uint8],
-        *,
-        n_conditions: int,
-        slice_cache: int = DEFAULT_SLICE_CACHE,
+        cls, packed: NDArray[np.uint8], *, n_conditions: int
     ) -> "RegulationKernel":
         """Wrap an already-packed relation tensor into a kernel.
 
-        The delta-update seam (:mod:`repro.incremental.update`): a
+        The seam for an :class:`~repro.core.rwave.RWaveIndex` that is
+        unpickled or delta-updated (:mod:`repro.incremental.update`): a
         revision job reuses the unchanged planes of its parent's kernel
         and packs only the new/changed ones, then assembles the result
         here without re-deriving any bit.  The caller guarantees the
@@ -123,8 +111,6 @@ class RegulationKernel:
             raise ValueError(
                 f"n_conditions must be >= 0, got {n_conditions}"
             )
-        if slice_cache < 0:
-            raise ValueError(f"slice_cache must be >= 0, got {slice_cache}")
         tensor = np.ascontiguousarray(packed, dtype=np.uint8)
         expected_width = (n_conditions + 7) // 8
         if (
@@ -139,37 +125,10 @@ class RegulationKernel:
         kernel = cls.__new__(cls)
         kernel.n_genes = int(tensor.shape[0])
         kernel.n_conditions = int(n_conditions)
-        kernel.slice_cache = int(slice_cache)
         kernel._packed = tensor
         kernel._up_cache = OrderedDict()
         kernel._down_cache = OrderedDict()
         return kernel
-
-    @classmethod
-    def pack_planes(
-        cls, values: ArrayLike, thresholds: ArrayLike
-    ) -> NDArray[np.uint8]:
-        """Pack the Eq. 3 relation of the given gene rows (no kernel).
-
-        Public wrapper over :meth:`_pack` for incremental updates that
-        build the planes of *new* genes only and splice them next to
-        reused parent planes (:func:`repro.incremental.update
-        .update_kernel`).
-        """
-        data = np.ascontiguousarray(values, dtype=np.float64)
-        if data.ndim != 2:
-            raise ValueError(
-                f"values must be a 2-D matrix, got shape {data.shape}"
-            )
-        per_gene = np.asarray(thresholds, dtype=np.float64)
-        if per_gene.shape != (data.shape[0],):
-            raise ValueError(
-                f"thresholds must have shape ({data.shape[0]},), got "
-                f"{per_gene.shape}"
-            )
-        if np.any(per_gene < 0):
-            raise ValueError("thresholds must be non-negative")
-        return cls._pack(data, per_gene)
 
     @property
     def packed(self) -> NDArray[np.uint8]:
@@ -186,17 +145,18 @@ class RegulationKernel:
     ) -> NDArray[np.uint8]:
         """Build ``packbits(up, axis=2)`` in gene chunks.
 
-        Chunking bounds the dense intermediate at
-        ``_PACK_CHUNK * C * C`` floats regardless of gene count.
+        Chunking bounds the dense intermediate at about
+        ``_PACK_PAIRS`` floats regardless of the matrix shape.
         """
         n_genes, n_conditions = values.shape
+        chunk = max(1, _PACK_PAIRS // max(1, n_conditions * n_conditions))
         packed_width = (n_conditions + 7) // 8
         packed = np.empty(
             (n_genes, n_conditions, packed_width), dtype=np.uint8
         )
         # One-time pack, chunked to bound memory, not a search-time loop.
-        for start in range(0, n_genes, _PACK_CHUNK):  # reglint: disable=RL106
-            stop = min(start + _PACK_CHUNK, n_genes)
+        for start in range(0, n_genes, chunk):  # reglint: disable=RL106
+            stop = min(start + chunk, n_genes)
             block = values[start:stop]
             # Same operands, same order, as the direct Eq. 3 check — the
             # packed bits are bitwise-identical to the float comparison.
@@ -233,9 +193,9 @@ class RegulationKernel:
         condition: int,
         dense: NDArray[np.bool_],
     ) -> NDArray[np.bool_]:
-        if self.slice_cache:
+        if DEFAULT_SLICE_CACHE:
             cache[condition] = dense
-            while len(cache) > self.slice_cache:
+            while len(cache) > DEFAULT_SLICE_CACHE:
                 cache.popitem(last=False)
         return dense
 
@@ -304,11 +264,11 @@ class RegulationKernel:
     def __repr__(self) -> str:
         return (
             f"RegulationKernel(shape={self.n_genes}x{self.n_conditions}, "
-            f"packed={self.nbytes} bytes, slice_cache={self.slice_cache})"
+            f"packed={self.nbytes} bytes)"
         )
 
     # ------------------------------------------------------------------
-    # Pickling (artifact cache / spawned workers)
+    # Pickling
     # ------------------------------------------------------------------
 
     def __getstate__(self) -> "dict[str, object]":

@@ -330,8 +330,8 @@ class RegClusterMiner:
             self.index = RWaveIndex(matrix, params.gamma, thresholds=thresholds)
         self._values = matrix.values
         self._thresholds = self.index.thresholds
-        #: the packed Eq. 3 relation (built lazily on the index, shared
-        #: by every miner reusing it), or ``None`` on the legacy path.
+        #: the packed Eq. 3 relation (built with the index, shared by
+        #: every miner reusing it), or ``None`` on the legacy path.
         self._kernel: Optional[RegulationKernel] = (
             self.index.kernel if use_kernel else None
         )

@@ -55,7 +55,7 @@ __all__ = [
 #: the arrays ``__getstate__`` writes change; a pickle carrying another
 #: (or no) tag refuses to load, so cached artifacts rebuild instead of
 #: resurfacing in a job with the wrong attributes.
-INDEX_LAYOUT = 2
+INDEX_LAYOUT = 3
 
 
 class RWaveTables(NamedTuple):
@@ -332,8 +332,23 @@ def _checked_thresholds(
     return per_gene
 
 
+def _packed_kernel(
+    matrix: ExpressionMatrix, packed: NDArray[np.uint8]
+) -> RegulationKernel:
+    """Wrap a packed ``(G, C, ceil(C/8))`` tensor as ``matrix``'s kernel."""
+    kernel = RegulationKernel.from_packed(
+        packed, n_conditions=matrix.n_conditions
+    )
+    if kernel.n_genes != matrix.n_genes:
+        raise ValueError(
+            f"packed kernel has {kernel.n_genes} gene planes for a "
+            f"matrix of {matrix.n_genes} genes"
+        )
+    return kernel
+
+
 class RWaveIndex:
-    """RWave^gamma tables of every gene, plus miner-facing lookup arrays.
+    """RWave^gamma tables and regulation kernel of every gene.
 
     The index holds flat ``(n_genes, n_conditions)`` arrays (see
     :class:`RWaveTables`).  The miner reads two of them, indexed by
@@ -344,9 +359,14 @@ class RWaveIndex:
     ``max_down[g, c]``
         same, descending;
     and the per-gene thresholds, so chain extension reduces to vectorized
-    numpy arithmetic.  Per-gene :class:`RWaveModel` objects (pointers,
-    Lemma 3.1 queries, rendering) are views over the same arrays, built
-    on first access through :meth:`model` / :attr:`models`.
+    numpy arithmetic.  :attr:`kernel` is the packed Eq. 3 relation
+    (:class:`~repro.core.kernels.RegulationKernel`) over the same values
+    and thresholds, built with the tables: both are fully determined by
+    ``(matrix, gamma)``, so they are one artifact — cached, pickled to
+    pool workers and delta-updated together.  Per-gene
+    :class:`RWaveModel` objects (pointers, Lemma 3.1 queries, rendering)
+    are views over the same arrays, built on first access through
+    :meth:`model` / :attr:`models`.
     """
 
     def __init__(
@@ -361,7 +381,11 @@ class RWaveIndex:
         else:
             per_gene = _checked_thresholds(matrix, thresholds)
         self._assign(
-            matrix, gamma, per_gene, rwave_tables(matrix.values, per_gene)
+            matrix,
+            gamma,
+            per_gene,
+            rwave_tables(matrix.values, per_gene),
+            RegulationKernel(matrix.values, per_gene),
         )
         # Debug-mode Lemma 3.1 invariant checks (repro.analysis.contracts):
         # a no-op unless contracts are enabled for the process.  Run where
@@ -374,6 +398,7 @@ class RWaveIndex:
         gamma: float,
         thresholds: NDArray[np.float64],
         tables: RWaveTables,
+        kernel: RegulationKernel,
     ) -> None:
         self.matrix = matrix
         self.gamma = float(gamma)
@@ -382,7 +407,8 @@ class RWaveIndex:
         self.closest: NDArray[np.intp] = tables.closest
         self.max_up: NDArray[np.intp] = tables.max_up
         self.max_down: NDArray[np.intp] = tables.max_down
-        self._kernel: Optional[RegulationKernel] = None
+        #: the packed Eq. 3 relation over the same values and thresholds
+        self.kernel = kernel
         self._views: Dict[int, RWaveModel] = {}
 
     @classmethod
@@ -393,17 +419,20 @@ class RWaveIndex:
         *,
         thresholds: ArrayLike,
         tables: RWaveTables,
+        packed: NDArray[np.uint8],
     ) -> "RWaveIndex":
-        """Assemble an index from prebuilt tables.
+        """Assemble an index from prebuilt tables and kernel planes.
 
         The delta-update seam (:mod:`repro.incremental.update`): a
         revision that appends or drops genes leaves the surviving
-        genes' rows — and therefore their rows of every table —
-        untouched, so an updated index stacks or selects table rows
-        instead of re-sorting every gene.  The caller guarantees the
+        genes' rows — and therefore their rows of every table and their
+        kernel planes — untouched, so an updated index stacks or
+        selects them instead of rebuilding every gene.  ``packed`` is
+        the ``(G, C, ceil(C/8))`` tensor of
+        :attr:`RegulationKernel.packed`.  The caller guarantees the
         parts belong to ``(matrix, gamma)``; the same debug-mode Lemma
-        3.1 contract hook as the cold constructor re-checks them when
-        contracts are enabled.
+        3.1 contract hook as the cold constructor re-checks the tables
+        when contracts are enabled.
         """
         per_gene = _checked_thresholds(matrix, thresholds)
         shape = (matrix.n_genes, matrix.n_conditions)
@@ -417,7 +446,9 @@ class RWaveIndex:
                     f"{table.shape}"
                 )
         index = cls.__new__(cls)
-        index._assign(matrix, gamma, per_gene, tables)
+        index._assign(
+            matrix, gamma, per_gene, tables, _packed_kernel(matrix, packed)
+        )
         maybe_check_rwave_index(index)
         return index
 
@@ -443,45 +474,14 @@ class RWaveIndex:
         reads the tables directly)."""
         return tuple(self.model(i) for i in range(len(self)))
 
-    @property
-    def kernel(self) -> RegulationKernel:
-        """The packed regulation-pair kernel of this index, built lazily.
-
-        The kernel is derived from the same values and thresholds as the
-        models, so its bits agree with :meth:`RWaveModel.is_up_regulated`
-        everywhere.  Built on first access and shared by every miner that
-        reuses this index; :meth:`attach_kernel` installs a prebuilt one
-        (e.g. from the service artifact cache).
-        """
-        if self._kernel is None:
-            self._kernel = RegulationKernel(
-                self.matrix.values, self.thresholds
-            )
-        return self._kernel
-
-    @property
-    def has_kernel(self) -> bool:
-        """Whether the kernel has already been built (or attached)."""
-        return self._kernel is not None
-
-    def attach_kernel(self, kernel: RegulationKernel) -> None:
-        """Install a prebuilt kernel (must match this index's shape)."""
-        if kernel.shape != self.matrix.shape:
-            raise ValueError(
-                f"kernel shape {kernel.shape} does not match matrix "
-                f"shape {self.matrix.shape}"
-            )
-        self._kernel = kernel
-
     def __len__(self) -> int:
         return self.matrix.n_genes
 
     def __getstate__(self) -> "dict[str, object]":
-        """Pickle the matrix, thresholds and tables only.
+        """Pickle the matrix, thresholds, tables and packed kernel.
 
-        The kernel is cached as its own artifact (see
-        :mod:`repro.service.cache`) and rebuilt lazily elsewhere; model
-        views are rebuilt on demand.
+        The kernel's dense slice caches and the model views are derived
+        on demand, so they are not written.
         """
         return {
             "layout": INDEX_LAYOUT,
@@ -489,6 +489,7 @@ class RWaveIndex:
             "gamma": self.gamma,
             "thresholds": self.thresholds,
             "tables": tuple(self.tables),
+            "packed": self.kernel.packed,
         }
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
@@ -498,9 +499,11 @@ class RWaveIndex:
                 f"RWaveIndex pickled with layout {layout!r}; this version "
                 f"reads layout {INDEX_LAYOUT}"
             )
+        matrix = state["matrix"]
         self._assign(
-            state["matrix"],
+            matrix,
             state["gamma"],
             state["thresholds"],
             RWaveTables(*state["tables"]),
+            _packed_kernel(matrix, state["packed"]),
         )

@@ -8,7 +8,7 @@ reusable, delta-updatable artifact instead of a from-scratch job:
 * typed matrix deltas and the :class:`MatrixRevision` lineage model
   (:mod:`repro.incremental.delta`), persisted content-addressed by the
   :class:`RevisionStore` (:mod:`repro.incremental.lineage`);
-* incremental maintenance of the RWave^gamma index and the packed-bit
+* incremental maintenance of the RWave^gamma index and its packed-bit
   regulation kernel — only new/changed planes are rebuilt, proven
   bit-identical to a cold build (:mod:`repro.incremental.update`);
 * the :class:`DirtyShardPlanner`, which maps a delta to the shards
@@ -42,12 +42,7 @@ from repro.incremental.sweep import (
     compute_sweep_id,
     expand_grid,
 )
-from repro.incremental.update import (
-    IndexUpdate,
-    KernelUpdate,
-    update_index,
-    update_kernel,
-)
+from repro.incremental.update import IndexUpdate, update_index
 
 __all__ = [
     "AppendConditions",
@@ -55,7 +50,6 @@ __all__ = [
     "DirtyShardPlanner",
     "DropGenes",
     "IndexUpdate",
-    "KernelUpdate",
     "MatrixDelta",
     "MatrixRevision",
     "MAX_SWEEP_POINTS",
@@ -70,5 +64,4 @@ __all__ = [
     "delta_to_dict",
     "expand_grid",
     "update_index",
-    "update_kernel",
 ]

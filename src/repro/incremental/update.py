@@ -1,31 +1,30 @@
-"""Incremental maintenance of the RWave^gamma index and the kernel.
+"""Incremental maintenance of the RWave^gamma index and its kernel.
 
-Both artifacts are per-gene structures over float comparisons, which
-makes delta updates exact rather than approximate:
+An :class:`~repro.core.rwave.RWaveIndex` is one artifact: the RWave
+tables plus the packed Eq. 3 regulation kernel
+(:class:`~repro.core.kernels.RegulationKernel`).  Both are per-gene
+structures over float comparisons, which makes delta updates exact
+rather than approximate:
 
-* **Kernel** (:class:`~repro.core.kernels.RegulationKernel`): the
-  packed tensor holds one independent ``(C, ceil(C/8))`` plane per
-  gene, so ``append_genes`` packs only the new planes and
-  ``drop_genes`` slices planes out — reused bytes are the parent's
-  bytes verbatim.  ``append_conditions`` keeps every old-pair bit of
-  genes whose Eq. 4 threshold is unchanged (the appended values sit
-  inside the gene's existing ``[min, max]``) and computes only the new
-  border rows/columns; genes whose threshold moved are repacked cold.
-  Every computed bit runs the same ``v[a] - v[b] > gamma_g`` float
-  comparison on the same ``float64`` operands as a cold
-  :meth:`~repro.core.kernels.RegulationKernel._pack`, so the updated
-  tensor is *byte-identical* to a cold build — asserted by the
-  equivalence suite in ``tests/incremental/test_update.py``.
+* **Gene deltas**: a gene's row of every RWave table and its
+  ``(C, ceil(C/8))`` kernel plane depend only on its own row and
+  threshold, so ``append_genes`` stacks the parent's rows and planes
+  on top of ones built for the new genes only, and ``drop_genes``
+  selects the survivors' rows and planes — reused bytes are the
+  parent's bytes verbatim, in fresh arrays (the parent index, which may
+  be shared through the artifact cache, is never mutated).
 
-* **Index** (:class:`~repro.core.rwave.RWaveIndex`): a gene's row of
-  every RWave table depends only on its own row and threshold, so
-  ``append_genes`` stacks the parent's table rows on top of rows built
-  for the new genes only, and ``drop_genes`` selects the survivors'
-  rows (fresh arrays: the parent index, which may be shared through
-  the artifact cache, is never mutated).  ``append_conditions`` changes
-  every row, so the index is rebuilt cold — one whole-matrix
-  :func:`~repro.core.rwave.rwave_tables` pass, far cheaper than the
-  kernel packing the update above avoids.
+* **Appended conditions** change every table row, so the tables are
+  rebuilt in one whole-matrix :func:`~repro.core.rwave.rwave_tables`
+  pass.  The kernel keeps every old-pair bit of genes whose Eq. 4
+  threshold is unchanged (the appended values sit inside the gene's
+  existing ``[min, max]``) and computes only the new border
+  rows/columns; genes whose threshold moved are repacked cold.
+
+Every computed bit runs the same ``v[a] - v[b] > gamma_g`` float
+comparison on the same ``float64`` operands as a cold build, so the
+updated index is *byte-identical* to ``RWaveIndex(child, gamma)`` —
+asserted by the equivalence suite in ``tests/incremental/test_update.py``.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from typing import Tuple
 import numpy as np
 from numpy.typing import NDArray
 
-from repro.core.kernels import DEFAULT_SLICE_CACHE, RegulationKernel
+from repro.core.kernels import RegulationKernel
 from repro.core.regulation import gene_thresholds
 from repro.core.rwave import RWaveIndex, RWaveTables, rwave_tables
 from repro.incremental.delta import (
@@ -47,7 +46,7 @@ from repro.incremental.delta import (
 )
 from repro.matrix.expression import ExpressionMatrix
 
-__all__ = ["IndexUpdate", "KernelUpdate", "update_index", "update_kernel"]
+__all__ = ["IndexUpdate", "update_index"]
 
 #: Gene-axis chunk bounding the dense intermediates of the
 #: append-conditions repack (same role as the kernel's own pack chunk).
@@ -55,25 +54,18 @@ _UPDATE_CHUNK = 512
 
 
 @dataclass(frozen=True)
-class KernelUpdate:
-    """A delta-updated kernel plus its reuse accounting."""
-
-    kernel: RegulationKernel
-    #: gene planes whose parent bytes (or old-pair bits) were reused
-    reused_planes: int
-    #: gene planes packed from scratch (new genes / changed thresholds)
-    rebuilt_planes: int
-
-
-@dataclass(frozen=True)
 class IndexUpdate:
-    """A delta-updated index plus its reuse accounting."""
+    """A delta-updated index (tables and kernel) plus its reuse accounting."""
 
     index: RWaveIndex
     #: gene rows of the RWave tables carried over from the parent index
     reused_models: int
     #: gene rows of the RWave tables built fresh
     rebuilt_models: int
+    #: kernel planes whose parent bytes (or old-pair bits) were reused
+    reused_planes: int
+    #: kernel planes packed from scratch (new genes / changed thresholds)
+    rebuilt_planes: int
 
 
 def _kept_gene_indices(
@@ -169,73 +161,15 @@ def _append_conditions_packed(
     return packed, reused, n_genes - reused
 
 
-def update_kernel(
-    parent_kernel: RegulationKernel,
-    parent_matrix: ExpressionMatrix,
-    child_matrix: ExpressionMatrix,
-    delta: MatrixDelta,
-    *,
-    gamma: float,
-    slice_cache: int = DEFAULT_SLICE_CACHE,
-) -> KernelUpdate:
-    """Delta-update a parent kernel to its child matrix.
-
-    ``parent_kernel`` must be the Eq. 3/4 kernel of ``parent_matrix``
-    at ``gamma``; the returned kernel is byte-identical to
-    ``RegulationKernel(child_matrix.values,
-    gene_thresholds(child_matrix, gamma))`` built cold.
-    """
-    if parent_kernel.shape != parent_matrix.shape:
+def _check_lineage(
+    parent_thresholds: NDArray[np.float64],
+    child_thresholds: NDArray[np.float64],
+) -> None:
+    if not np.array_equal(parent_thresholds, child_thresholds):
         raise ValueError(
-            f"parent kernel shape {parent_kernel.shape} does not match "
-            f"parent matrix shape {parent_matrix.shape}"
+            "parent index thresholds disagree with the child matrix; "
+            "the parent index does not belong to this lineage"
         )
-    _check_pair(parent_matrix, child_matrix, delta)
-    child_thresholds = gene_thresholds(child_matrix, gamma)
-    if isinstance(delta, AppendGenes):
-        n_old = parent_matrix.n_genes
-        new_planes = RegulationKernel.pack_planes(
-            child_matrix.values[n_old:], child_thresholds[n_old:]
-        )
-        packed = np.concatenate([parent_kernel.packed, new_planes], axis=0)
-        kernel = RegulationKernel.from_packed(
-            packed,
-            n_conditions=child_matrix.n_conditions,
-            slice_cache=slice_cache,
-        )
-        return KernelUpdate(
-            kernel=kernel,
-            reused_planes=n_old,
-            rebuilt_planes=len(delta.names),
-        )
-    if isinstance(delta, DropGenes):
-        kept = _kept_gene_indices(parent_matrix, delta)
-        packed = np.ascontiguousarray(parent_kernel.packed[kept])
-        kernel = RegulationKernel.from_packed(
-            packed,
-            n_conditions=child_matrix.n_conditions,
-            slice_cache=slice_cache,
-        )
-        return KernelUpdate(
-            kernel=kernel, reused_planes=int(kept.shape[0]), rebuilt_planes=0
-        )
-    # AppendConditions (``_check_pair`` already rejected unknown kinds).
-    parent_thresholds = gene_thresholds(parent_matrix, gamma)
-    packed, reused, rebuilt = _append_conditions_packed(
-        parent_kernel.packed,
-        child_matrix.values,
-        parent_thresholds,
-        child_thresholds,
-        parent_matrix.n_conditions,
-    )
-    kernel = RegulationKernel.from_packed(
-        packed,
-        n_conditions=child_matrix.n_conditions,
-        slice_cache=slice_cache,
-    )
-    return KernelUpdate(
-        kernel=kernel, reused_planes=reused, rebuilt_planes=rebuilt
-    )
 
 
 def update_index(
@@ -243,69 +177,70 @@ def update_index(
     child_matrix: ExpressionMatrix,
     delta: MatrixDelta,
 ) -> IndexUpdate:
-    """Delta-update a parent index to its child matrix (same gamma).
+    """Delta-update a parent index and its kernel to the child matrix.
 
-    The returned index carries no kernel — pair it with
-    :func:`update_kernel` (or a cold build) via ``attach_kernel``.
+    The returned index (same gamma) is byte-identical to
+    ``RWaveIndex(child_matrix, parent_index.gamma)`` built cold.
     """
     parent_matrix = parent_index.matrix
     _check_pair(parent_matrix, child_matrix, delta)
     gamma = parent_index.gamma
+    child_thresholds = gene_thresholds(child_matrix, gamma)
+    parent_packed = parent_index.kernel.packed
     if isinstance(delta, AppendConditions):
         # Every gene row gained values: all sort orders, pointers and
-        # chain tables may change, so the index is rebuilt cold.  The
-        # O(G C^2) kernel packing — the expensive part — is what
-        # update_kernel avoids re-doing.
-        index = RWaveIndex(child_matrix, gamma)
-        return IndexUpdate(
-            index=index,
-            reused_models=0,
-            rebuilt_models=child_matrix.n_genes,
+        # chain tables may change, so the tables are rebuilt whole.
+        # The kernel keeps the old-pair bits of unchanged-threshold
+        # genes and packs only the border pairs.
+        packed, reused, rebuilt = _append_conditions_packed(
+            parent_packed,
+            child_matrix.values,
+            parent_index.thresholds,
+            child_thresholds,
+            parent_matrix.n_conditions,
         )
-    child_thresholds = gene_thresholds(child_matrix, gamma)
-    if isinstance(delta, AppendGenes):
+        tables = rwave_tables(child_matrix.values, child_thresholds)
+        reused_models = 0
+    elif isinstance(delta, AppendGenes):
         n_old = parent_matrix.n_genes
-        if not np.array_equal(
-            parent_index.thresholds, child_thresholds[:n_old]
-        ):
-            raise ValueError(
-                "parent index thresholds disagree with the child matrix; "
-                "the parent index does not belong to this lineage"
+        _check_lineage(parent_index.thresholds, child_thresholds[:n_old])
+        fresh_values = child_matrix.values[n_old:]
+        fresh_thresholds = child_thresholds[n_old:]
+        fresh = rwave_tables(fresh_values, fresh_thresholds)
+        tables = RWaveTables(
+            *(
+                np.vstack([old, new])
+                for old, new in zip(parent_index.tables, fresh)
             )
-        fresh = rwave_tables(
-            child_matrix.values[n_old:], child_thresholds[n_old:]
         )
-        index = RWaveIndex.from_parts(
-            child_matrix,
-            gamma,
-            thresholds=child_thresholds,
-            tables=RWaveTables(
-                *(
-                    np.vstack([old, new])
-                    for old, new in zip(parent_index.tables, fresh)
-                )
-            ),
+        packed = np.concatenate(
+            [
+                parent_packed,
+                RegulationKernel(fresh_values, fresh_thresholds).packed,
+            ],
+            axis=0,
         )
-        return IndexUpdate(
-            index=index,
-            reused_models=n_old,
-            rebuilt_models=child_matrix.n_genes - n_old,
-        )
-    # DropGenes (``_check_pair`` already rejected unknown kinds).
-    kept = _kept_gene_indices(parent_matrix, delta)
-    if not np.array_equal(
-        parent_index.thresholds[kept], child_thresholds
-    ):
-        raise ValueError(
-            "parent index thresholds disagree with the child matrix; "
-            "the parent index does not belong to this lineage"
-        )
+        reused = reused_models = n_old
+        rebuilt = child_matrix.n_genes - n_old
+    else:
+        # DropGenes (``_check_pair`` already rejected unknown kinds).
+        kept = _kept_gene_indices(parent_matrix, delta)
+        _check_lineage(parent_index.thresholds[kept], child_thresholds)
+        tables = RWaveTables(*(table[kept] for table in parent_index.tables))
+        packed = parent_packed[kept]
+        reused = reused_models = int(kept.shape[0])
+        rebuilt = 0
     index = RWaveIndex.from_parts(
         child_matrix,
         gamma,
         thresholds=child_thresholds,
-        tables=RWaveTables(*(table[kept] for table in parent_index.tables)),
+        tables=tables,
+        packed=packed,
     )
     return IndexUpdate(
-        index=index, reused_models=int(kept.shape[0]), rebuilt_models=0
+        index=index,
+        reused_models=reused_models,
+        rebuilt_models=child_matrix.n_genes - reused_models,
+        reused_planes=reused,
+        rebuilt_planes=rebuilt,
     )

@@ -1,21 +1,17 @@
 """On-disk LRU cache for expensive mining artifacts.
 
-Three artifact kinds are memoized:
+Two artifact kinds are memoized:
 
 ``index``
     A pickled :class:`~repro.core.rwave.RWaveIndex`, keyed by matrix
-    content digest + gamma.  Building the index (the Definition 3.1
-    tables of every gene plus the max-chain tables) costs O(G C^2)
-    comparisons, and the same index serves *every* parameter setting
-    that shares gamma — only MinG/MinC/epsilon change between typical
-    sweep jobs.  The pickle holds only the matrix and flat arrays, and
+    content digest + gamma (:func:`index_key`).  The index carries the
+    Definition 3.1 tables of every gene, the max-chain tables and the
+    bit-packed Eq. 3 regulation kernel the miner's hot path runs on —
+    all determined by digest + gamma, and all O(G C^2) comparisons to
+    build.  The same index serves *every* parameter setting that
+    shares gamma — only MinG/MinC/epsilon change between typical sweep
+    jobs.  The pickle holds only the matrix and flat arrays, and
     carries a layout tag: an artifact from another layout is a miss.
-``kernel``
-    A pickled :class:`~repro.core.kernels.RegulationKernel` — the
-    bit-packed Eq. 3 relation the miner's hot path runs on — keyed the
-    same way as the index (digest + gamma determine it completely).
-    Cached separately from the index so each stays small and evicts
-    independently.
 ``result``
     A completed mining result in the ``reg-cluster/v1`` JSON schema,
     keyed by job id (which already encodes digest + all parameters).
@@ -43,7 +39,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Set, Union
 
-from repro.core.kernels import RegulationKernel
 from repro.core.rwave import RWaveIndex
 from repro.service.resilience import FaultKind, FaultPlan
 
@@ -51,7 +46,7 @@ __all__ = [
     "ArtifactCache",
     "CacheStats",
     "DEFAULT_MAX_BYTES",
-    "kernel_cache_key",
+    "index_key",
 ]
 
 #: Default size bound: generous for indexes of paper-scale matrices
@@ -66,9 +61,6 @@ class CacheStats:
     index_hits: int = 0
     index_misses: int = 0
     index_stores: int = 0
-    kernel_hits: int = 0
-    kernel_misses: int = 0
-    kernel_stores: int = 0
     result_hits: int = 0
     result_misses: int = 0
     result_stores: int = 0
@@ -79,9 +71,6 @@ class CacheStats:
             "index_hits": self.index_hits,
             "index_misses": self.index_misses,
             "index_stores": self.index_stores,
-            "kernel_hits": self.kernel_hits,
-            "kernel_misses": self.kernel_misses,
-            "kernel_stores": self.kernel_stores,
             "result_hits": self.result_hits,
             "result_misses": self.result_misses,
             "result_stores": self.result_stores,
@@ -110,8 +99,8 @@ class _ManifestEntry:
         return payload
 
 
-#: Index/kernel keys embed the matrix digest; results do not.
-_ARTIFACT_KEY = re.compile(r"^(?:index|kernel)-([0-9a-f]{64})-gamma-")
+#: Index keys embed the matrix digest; results do not.
+_ARTIFACT_KEY = re.compile(r"^index-([0-9a-f]{64})-gamma-")
 
 
 def _key_digest(key: str) -> Optional[str]:
@@ -119,19 +108,11 @@ def _key_digest(key: str) -> Optional[str]:
     return match.group(1) if match else None
 
 
-def _index_key(matrix_digest: str, gamma: float) -> str:
+def index_key(matrix_digest: str, gamma: float) -> str:
+    """The cache key of an index artifact — doubles as the fleet's
+    shard-affinity token: a node advertising this key already holds
+    the (matrix, gamma) index and kernel (docs/distributed.md)."""
     return f"index-{matrix_digest}-gamma-{float(gamma)!r}"
-
-
-def _kernel_key(matrix_digest: str, gamma: float) -> str:
-    return f"kernel-{matrix_digest}-gamma-{float(gamma)!r}"
-
-
-def kernel_cache_key(matrix_digest: str, gamma: float) -> str:
-    """The cache key of a kernel artifact — doubles as the fleet's
-    shard-affinity token: a node advertising this key already built
-    the (matrix, gamma) kernel (docs/distributed.md)."""
-    return _kernel_key(matrix_digest, gamma)
 
 
 def _result_key(job_id: str) -> str:
@@ -180,7 +161,7 @@ class ArtifactCache:
         self._clock = 0
         self._manifest: Dict[str, _ManifestEntry] = {}
         #: secondary indexes over the manifest — matrix digest -> keys
-        #: of its index/kernel artifacts, and parent digest -> keys of
+        #: of its index artifacts, and parent digest -> keys of
         #: artifacts delta-derived from it.  Maintained on every
         #: insert/evict/drop so lineage lookups never scan the manifest.
         self._by_digest: Dict[str, Set[str]] = {}
@@ -264,7 +245,7 @@ class ArtifactCache:
         return entry
 
     def artifacts_for_digest(self, matrix_digest: str) -> List[str]:
-        """Cached index/kernel keys of one matrix (no manifest scan)."""
+        """Cached index keys of one matrix (no manifest scan)."""
         with self._lock:
             return sorted(self._by_digest.get(matrix_digest, ()))
 
@@ -291,7 +272,7 @@ class ArtifactCache:
         """Increment one :class:`CacheStats` field under the cache lock.
 
         Counters are written concurrently from HTTP handler threads
-        (result lookups) and the executor thread (index/kernel reuse);
+        (result lookups) and the executor thread (index reuse);
         an unlocked ``+=`` is a read-modify-write race that loses
         updates (reglint RL301).
         """
@@ -378,29 +359,29 @@ class ArtifactCache:
     def get_index(
         self, matrix_digest: str, gamma: float
     ) -> Optional[RWaveIndex]:
-        """A cached index for (digest, gamma), or ``None`` on a miss."""
-        key = _index_key(matrix_digest, gamma)
+        """A cached index for (digest, gamma), or ``None`` on a miss.
+
+        A corrupt, stale or wrong-type artifact is a miss, not an
+        error, and is dropped so later lookups do not re-read it: an
+        index pickled under another layout (RWaveIndex's INDEX_LAYOUT
+        tag) refuses to load with UnpicklingError, a malformed kernel
+        tensor with ValueError, and the caller rebuilds the index and
+        stores it again.
+        """
+        key = index_key(matrix_digest, gamma)
         data = self._load(key)
-        if data is None:
-            self._bump("index_misses")
-            return None
-        try:
-            index = pickle.loads(data)
-        except (pickle.UnpicklingError, EOFError, AttributeError,
-                ImportError):
-            # A corrupt or stale artifact is a miss, not an error; an
-            # index pickled under another layout (RWaveIndex's
-            # INDEX_LAYOUT tag) refuses to load with UnpicklingError,
-            # so the caller rebuilds it and overwrites the artifact.
-            with self._lock:
-                self._forget(key)
-                self._save_manifest()
-            self._bump("index_misses")
-            return None
-        if not isinstance(index, RWaveIndex):
-            self._bump("index_misses")
-            return None
-        self._bump("index_hits")
+        index: Optional[RWaveIndex] = None
+        if data is not None:
+            try:
+                loaded = pickle.loads(data)
+            except (pickle.UnpicklingError, EOFError, AttributeError,
+                    ImportError, ValueError):
+                loaded = None
+            if isinstance(loaded, RWaveIndex):
+                index = loaded
+            else:
+                self.drop_artifact(key)
+        self._bump("index_misses" if index is None else "index_hits")
         return index
 
     def put_index(
@@ -416,84 +397,13 @@ class ArtifactCache:
         ``parent_digest`` records lineage when the index was
         delta-updated from another matrix's index (docs/incremental.md).
         """
-        key = _index_key(matrix_digest, gamma)
+        key = index_key(matrix_digest, gamma)
         data = pickle.dumps(index, protocol=pickle.HIGHEST_PROTOCOL)
         self._store(key, f"{key}.pkl", data, parent_digest=parent_digest)
         self._bump("index_stores")
 
-    # ------------------------------------------------------------------
-    # Regulation kernels
-    # ------------------------------------------------------------------
-
-    def get_kernel(
-        self, matrix_digest: str, gamma: float
-    ) -> Optional[RegulationKernel]:
-        """A cached kernel for (digest, gamma), or ``None`` on a miss."""
-        key = _kernel_key(matrix_digest, gamma)
-        data = self._load(key)
-        if data is None:
-            self._bump("kernel_misses")
-            return None
-        try:
-            kernel = pickle.loads(data)
-        except (pickle.UnpicklingError, EOFError, AttributeError,
-                ImportError):
-            # A corrupt or stale artifact is a miss, not an error.
-            with self._lock:
-                self._forget(key)
-                self._save_manifest()
-            self._bump("kernel_misses")
-            return None
-        if not isinstance(kernel, RegulationKernel):
-            self._bump("kernel_misses")
-            return None
-        self._bump("kernel_hits")
-        return kernel
-
-    def put_kernel(
-        self,
-        matrix_digest: str,
-        gamma: float,
-        kernel: RegulationKernel,
-        *,
-        parent_digest: Optional[str] = None,
-    ) -> None:
-        """Memoize a built kernel under (digest, gamma).
-
-        ``parent_digest`` records lineage when the kernel was
-        delta-updated from another matrix's kernel (docs/incremental.md).
-        """
-        key = _kernel_key(matrix_digest, gamma)
-        data = pickle.dumps(kernel, protocol=pickle.HIGHEST_PROTOCOL)
-        self._store(key, f"{key}.pkl", data, parent_digest=parent_digest)
-        self._bump("kernel_stores")
-
-    def get_kernel_bytes(
-        self, matrix_digest: str, gamma: float
-    ) -> Optional[bytes]:
-        """The raw pickled kernel artifact, or ``None`` on a miss.
-
-        The fleet artifact-exchange seam: the coordinator serves this
-        verbatim over ``GET /artifacts/kernel/...`` and a node stores
-        it straight into its own cache via :meth:`put_kernel_bytes` —
-        no unpickle/re-pickle round trip on either side
-        (docs/distributed.md).  Counted as a kernel hit/miss like
-        :meth:`get_kernel`.
-        """
-        data = self._load(_kernel_key(matrix_digest, gamma))
-        self._bump("kernel_misses" if data is None else "kernel_hits")
-        return data
-
-    def put_kernel_bytes(
-        self, matrix_digest: str, gamma: float, data: bytes
-    ) -> None:
-        """Store an already-pickled kernel artifact under (digest, gamma)."""
-        key = _kernel_key(matrix_digest, gamma)
-        self._store(key, f"{key}.pkl", data)
-        self._bump("kernel_stores")
-
-    def kernel_keys(self) -> List[str]:
-        """Cache keys of every kernel artifact currently held.
+    def index_keys(self) -> List[str]:
+        """Cache keys of every index artifact currently held.
 
         The fleet node advertises these in its lease requests so the
         coordinator can route shards of the same (matrix, gamma) back
@@ -501,7 +411,7 @@ class ArtifactCache:
         """
         with self._lock:
             return sorted(
-                key for key in self._manifest if key.startswith("kernel-")
+                key for key in self._manifest if key.startswith("index-")
             )
 
     # ------------------------------------------------------------------

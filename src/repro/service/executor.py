@@ -186,7 +186,8 @@ class ShardedOutcome:
 # ----------------------------------------------------------------------
 
 #: Per-worker miner, built once by the pool initializer so the RWave
-#: index is constructed (or unpickled) once per process, not per shard.
+#: index (packed kernel included) is constructed or unpickled once per
+#: process, not per shard.
 _WORKER_MINER: Optional[RegClusterMiner] = None
 #: Per-worker fault plan (chaos testing only; ``None`` in production).
 _WORKER_FAULTS: Optional[FaultPlan] = None

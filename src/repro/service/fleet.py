@@ -33,12 +33,12 @@ variable guard every mutable field; the HTTP handler threads
   :class:`~repro.service.resilience.RetryPolicy` budget, so a shard
   that keeps landing on dying nodes eventually degrades exactly like a
   shard that keeps crashing locally.
-* **Affinity** — lease requests advertise the kernel artifacts the
+* **Affinity** — lease requests advertise the index artifacts the
   node already holds (:meth:`~repro.service.cache.ArtifactCache
-  .kernel_keys`); the coordinator prefers handing out shards of a job
-  whose (matrix, gamma) kernel the node has already built, falling
-  back freely.  The bit-packed RWave^gamma kernel is thus built once
-  per node, not once per shard.
+  .index_keys`); the coordinator prefers handing out shards of a job
+  whose (matrix, gamma) index — tables plus packed kernel — the node
+  has already built, falling back freely.  The artifact is thus built
+  once per node, not once per shard.
 * **Idempotence** — a ``complete`` for a reclaimed or finished lease
   is rejected with ``{"accepted": false}`` and counted; the result the
   late node computed is identical to whatever the retry produced
@@ -47,8 +47,9 @@ variable guard every mutable field; the HTTP handler threads
 Node side
 ---------
 :class:`FleetNode` is the worker: heartbeat thread + lease loop.  It
-fetches matrices and kernels from the coordinator *by content digest*
-(``GET /artifacts/...``), keeps them in its own
+fetches matrices from the coordinator *by content digest*
+(``GET /artifacts/matrix/...``), builds each (matrix, gamma) index
+locally once and keeps it in its own
 :class:`~repro.service.cache.ArtifactCache`, and mines leased shards
 via ``mine_sharded_outcome(..., shards=leased)`` — reusing the entire
 retry-free single-machine pipeline, including its tracing.
@@ -97,7 +98,7 @@ from repro.obs.trace import (
     Tracer,
     load_spans,
 )
-from repro.service.cache import ArtifactCache, kernel_cache_key
+from repro.service.cache import ArtifactCache, index_key
 from repro.service.executor import (
     ShardResult,
     ShardedOutcome,
@@ -197,7 +198,8 @@ class _NodeInfo:
 
     node_id: str
     last_seen: float  # monotonic
-    kernels: Set[str] = field(default_factory=set)
+    #: index cache keys the node advertised (affinity tokens)
+    artifacts: Set[str] = field(default_factory=set)
     shards_completed: int = 0
     shards_failed: int = 0
 
@@ -238,7 +240,7 @@ class _FleetJob:
         self.params = params
         self.params_dict = parameters_to_dict(params)
         self.matrix_digest = matrix_digest
-        self.kernel_key = kernel_cache_key(matrix_digest, params.gamma)
+        self.artifact_key = index_key(matrix_digest, params.gamma)
         self.on_shard_complete = on_shard_complete
         self.tracer = tracer
         self.trace_parent = trace_parent
@@ -367,15 +369,15 @@ class FleetState:
     # ------------------------------------------------------------------
 
     def _touch_node_locked(
-        self, node_id: str, kernels: Optional[Sequence[str]], now: float
+        self, node_id: str, artifacts: Optional[Sequence[str]], now: float
     ) -> _NodeInfo:
         node = self._nodes.get(node_id)
         if node is None:
             node = _NodeInfo(node_id=node_id, last_seen=now)
             self._nodes[node_id] = node
         node.last_seen = now
-        if kernels is not None:
-            node.kernels = {str(key) for key in kernels}
+        if artifacts is not None:
+            node.artifacts = {str(key) for key in artifacts}
         return node
 
     def _fail_shard_locked(
@@ -461,12 +463,12 @@ class FleetState:
     # ------------------------------------------------------------------
 
     def heartbeat(
-        self, node_id: str, kernels: Sequence[str] = ()
+        self, node_id: str, artifacts: Sequence[str] = ()
     ) -> Dict[str, Any]:
         """Record node liveness; extends every lease the node holds."""
         now = time.monotonic()
         with self._cond:
-            self._touch_node_locked(node_id, kernels, now)
+            self._touch_node_locked(node_id, artifacts, now)
             self._stats.heartbeats += 1
             extended = 0
             for job in self._jobs.values():
@@ -490,12 +492,12 @@ class FleetState:
     def lease(
         self,
         node_id: str,
-        kernels: Sequence[str] = (),
+        artifacts: Sequence[str] = (),
         max_shards: Optional[int] = None,
     ) -> Optional[Dict[str, Any]]:
         """Grant a batch of shards of one job, or ``None`` when idle.
 
-        Affinity: jobs whose kernel artifact the node already holds are
+        Affinity: jobs whose index artifact the node already holds are
         preferred; the grant says whether it was an affinity hit so the
         node (and the metrics) can tell.
         """
@@ -506,7 +508,7 @@ class FleetState:
             else max(1, min(int(max_shards), self.max_lease_shards))
         )
         with self._cond:
-            node = self._touch_node_locked(node_id, kernels, now)
+            node = self._touch_node_locked(node_id, artifacts, now)
             self._reclaim_locked(now)
             candidates = [
                 job for job in self._jobs.values() if job.due_pending(now)
@@ -514,7 +516,7 @@ class FleetState:
             if not candidates:
                 return None
             affine = [
-                job for job in candidates if job.kernel_key in node.kernels
+                job for job in candidates if job.artifact_key in node.artifacts
             ]
             if affine:
                 job = affine[0]
@@ -913,7 +915,7 @@ class FleetState:
                     node_id: {
                         "active": now - node.last_seen <= self.lease_ttl,
                         "last_seen_s": round(now - node.last_seen, 3),
-                        "kernels": len(node.kernels),
+                        "artifacts": len(node.artifacts),
                         "leases_held": held.get(node_id, 0),
                         "shards_completed": node.shards_completed,
                         "shards_failed": node.shards_failed,
@@ -968,7 +970,7 @@ class FleetNode:
         knob as the daemon's ``--workers``).
     cache_dir:
         Directory of the node's own
-        :class:`~repro.service.cache.ArtifactCache` (indexes, kernels)
+        :class:`~repro.service.cache.ArtifactCache` (indexes)
         and fetched-trace scratch space.
     poll_interval:
         Seconds to sleep between empty lease polls.
@@ -1036,7 +1038,7 @@ class FleetNode:
         while not self._heartbeat_stop.wait(self._heartbeat_interval()):
             try:
                 answer = self.client.fleet_heartbeat(
-                    self.node_id, kernels=self.cache.kernel_keys()
+                    self.node_id, artifacts=self.cache.index_keys()
                 )
                 self._lease_ttl = float(
                     answer.get("lease_ttl", self._lease_ttl)
@@ -1093,13 +1095,13 @@ class FleetNode:
 
     def _index_for(
         self, matrix: ExpressionMatrix, digest: str, gamma: float
-    ) -> Tuple[RWaveIndex, bool]:
-        """The RWave index with its kernel attached when available.
+    ) -> RWaveIndex:
+        """The (matrix, gamma) index: own cache, else built and cached.
 
-        Kernel acquisition order: own cache, then the coordinator's
-        artifact endpoint, then lazily built by the miner (and cached
-        afterwards, flipping future affinity routing to a hit).
-        Returns ``(index, had_kernel)``.
+        A cold build (tables plus packed kernel) takes tens of
+        milliseconds at the paper's default size, so nodes build
+        locally instead of fetching the coordinator's artifact; a
+        cached index flips future affinity routing to a hit.
         """
         index = self.cache.get_index(digest, gamma)
         if index is None:
@@ -1108,19 +1110,7 @@ class FleetNode:
                 self.cache.put_index(digest, gamma, index)
             except OSError:
                 pass
-        kernel = self.cache.get_kernel(digest, gamma)
-        if kernel is None:
-            raw = self.client.fetch_kernel(digest, gamma)
-            if raw is not None:
-                try:
-                    self.cache.put_kernel_bytes(digest, gamma, raw)
-                except OSError:
-                    pass
-                kernel = self.cache.get_kernel(digest, gamma)
-        had_kernel = kernel is not None
-        if kernel is not None:
-            index.attach_kernel(kernel)
-        return index, had_kernel
+        return index
 
     # -- mining -------------------------------------------------------
 
@@ -1128,7 +1118,7 @@ class FleetNode:
         """One poll: lease, mine, report.  ``True`` when work was done."""
         lease = self.client.fleet_lease(
             self.node_id,
-            kernels=self.cache.kernel_keys(),
+            artifacts=self.cache.index_keys(),
             max_shards=self.max_lease_shards,
         )
         if lease is None:
@@ -1186,7 +1176,7 @@ class FleetNode:
         params = parameters_from_dict(dict(lease["parameters"]))
         shards = [int(start) for start in lease["shards"]]
         matrix = self._matrix(digest)
-        index, had_kernel = self._index_for(matrix, digest, params.gamma)
+        index = self._index_for(matrix, digest, params.gamma)
         trace = lease.get("trace")
         tracer: Tracer = NULL_TRACER
         trace_parent: Optional[SpanContext] = None
@@ -1263,11 +1253,6 @@ class FleetNode:
                 "error": outcome.shard_errors.get(start, "shard failed"),
                 "spans": collect_new_spans(),
             })
-        if not had_kernel and index.has_kernel:
-            try:
-                self.cache.put_kernel(digest, params.gamma, index.kernel)
-            except OSError:
-                pass
         self.leases_mined += 1
         _LOG.info(
             "fleet.node.lease_mined",

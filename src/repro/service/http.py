@@ -62,7 +62,7 @@ Fleet endpoints (``404`` unless the daemon runs with ``--fleet``; see
 ``docs/distributed.md`` for the full protocol):
 
 ``POST /fleet/lease``
-    Body ``{"node_id": ..., "kernels": [...], "max_shards": ...}``;
+    Body ``{"node_id": ..., "artifacts": [...], "max_shards": ...}``;
     responds ``{"lease": {...}}`` with a shard lease, or
     ``{"lease": null}`` when the queue is idle.
 ``POST /fleet/complete``
@@ -77,9 +77,6 @@ Fleet endpoints (``404`` unless the daemon runs with ``--fleet``; see
     Content-addressed matrix fetch: the stored ``.npz`` bytes of the
     matrix whose :func:`~repro.matrix.summary.matrix_digest` is
     ``<digest>``.
-``GET /artifacts/kernel/<digest>/<gamma>``
-    The cached pickled RWave^gamma kernel for (matrix, gamma), ``404``
-    when not (yet) built.
 
 ``/healthz`` and ``/metrics`` are answered inline by the event loop,
 before fault injection and outside admission control — observability
@@ -597,17 +594,17 @@ class ServiceClient:
         self,
         node_id: str,
         *,
-        kernels: Optional[List[str]] = None,
+        artifacts: Optional[List[str]] = None,
         max_shards: Optional[int] = None,
     ) -> Optional[Dict[str, Any]]:
         """Request a shard lease; ``None`` when the queue is idle.
 
-        ``kernels`` advertises the node's cached kernel artifacts for
+        ``artifacts`` advertises the node's cached index keys for
         affinity routing.
         """
         body: Dict[str, Any] = {
             "node_id": node_id,
-            "kernels": list(kernels or []),
+            "artifacts": list(artifacts or []),
         }
         if max_shards is not None:
             body["max_shards"] = int(max_shards)
@@ -619,13 +616,13 @@ class ServiceClient:
         return self._request("POST", "/fleet/complete", dict(payload))
 
     def fleet_heartbeat(
-        self, node_id: str, *, kernels: Optional[List[str]] = None
+        self, node_id: str, *, artifacts: Optional[List[str]] = None
     ) -> Dict[str, Any]:
         """Beacon node liveness; extends the node's active leases."""
         return self._request(
             "POST",
             "/fleet/heartbeat",
-            {"node_id": node_id, "kernels": list(kernels or [])},
+            {"node_id": node_id, "artifacts": list(artifacts or [])},
         )
 
     def fleet_status(self) -> Dict[str, Any]:
@@ -635,14 +632,3 @@ class ServiceClient:
     def fetch_matrix(self, digest: str) -> bytes:
         """The stored ``.npz`` bytes of the matrix with this digest."""
         return self._request_bytes(f"/artifacts/matrix/{digest}")
-
-    def fetch_kernel(self, digest: str, gamma: float) -> Optional[bytes]:
-        """The pickled kernel for (digest, gamma); ``None`` if unbuilt."""
-        try:
-            return self._request_bytes(
-                f"/artifacts/kernel/{digest}/{float(gamma)!r}"
-            )
-        except ServiceError as error:
-            if error.status == 404:
-                return None
-            raise

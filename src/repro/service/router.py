@@ -42,7 +42,7 @@ import re
 import time
 import urllib.parse
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.incremental.delta import delta_from_dict
 from repro.matrix.expression import ExpressionMatrix
@@ -67,9 +67,6 @@ _JOB_PATH = re.compile(r"^/jobs/(?P<job_id>[A-Za-z0-9_-]+)$")
 _RESULT_PATH = re.compile(r"^/jobs/(?P<job_id>[A-Za-z0-9_-]+)/result$")
 _MATRIX_ARTIFACT_PATH = re.compile(
     r"^/artifacts/matrix/(?P<digest>[0-9a-f]{64})$"
-)
-_KERNEL_ARTIFACT_PATH = re.compile(
-    r"^/artifacts/kernel/(?P<digest>[0-9a-f]{64})/(?P<gamma>[0-9.eE+-]+)$"
 )
 _REVISION_PATH = re.compile(
     r"^/matrices/(?P<digest>[0-9a-f]{64})/revisions$"
@@ -172,6 +169,14 @@ def matrix_from_payload(payload: Any) -> ExpressionMatrix:
     return load_expression_matrix(payload["path"])
 
 
+def _advertised_artifacts(body: Dict[str, Any]) -> List[str]:
+    """The index cache keys a fleet node advertises for affinity."""
+    artifacts = body.get("artifacts") or []
+    if not isinstance(artifacts, list):
+        raise RequestError(400, "artifacts must be a list of cache keys")
+    return [str(key) for key in artifacts]
+
+
 class ServiceRouter:
     """Routes :class:`Request` values onto one :class:`MiningService`."""
 
@@ -257,11 +262,6 @@ class ServiceRouter:
         match = _MATRIX_ARTIFACT_PATH.match(path)
         if method == "GET" and match:
             return self._get_matrix_artifact(service, match.group("digest"))
-        match = _KERNEL_ARTIFACT_PATH.match(path)
-        if method == "GET" and match:
-            return self._get_kernel_artifact(
-                service, match.group("digest"), match.group("gamma")
-            )
         match = _REVISION_PATH.match(path)
         if method == "POST" and match:
             return self._post_revision(request, service, match.group("digest"))
@@ -323,13 +323,10 @@ class ServiceRouter:
         node_id = str(body.get("node_id") or "")
         if not node_id:
             raise RequestError(400, "lease request must name a node_id")
-        kernels = body.get("kernels") or []
-        if not isinstance(kernels, list):
-            raise RequestError(400, "kernels must be a list of cache keys")
         max_shards = body.get("max_shards")
         lease = fleet.lease(
             node_id,
-            kernels=[str(key) for key in kernels],
+            artifacts=_advertised_artifacts(body),
             max_shards=None if max_shards is None else int(max_shards),
         )
         return Response.json(200, {"lease": lease})
@@ -342,12 +339,9 @@ class ServiceRouter:
         node_id = str(body.get("node_id") or "")
         if not node_id:
             raise RequestError(400, "heartbeat must name a node_id")
-        kernels = body.get("kernels") or []
-        if not isinstance(kernels, list):
-            raise RequestError(400, "kernels must be a list of cache keys")
         return Response.json(
             200,
-            fleet.heartbeat(node_id, kernels=[str(k) for k in kernels]),
+            fleet.heartbeat(node_id, artifacts=_advertised_artifacts(body)),
         )
 
     def _get_matrix_artifact(
@@ -356,20 +350,6 @@ class ServiceRouter:
         data = service.matrix_artifact_bytes(digest)
         if data is None:
             raise RequestError(404, f"no stored matrix with digest {digest}")
-        return Response(200, data, content_type="application/octet-stream")
-
-    def _get_kernel_artifact(
-        self, service: MiningService, digest: str, gamma: str
-    ) -> Response:
-        try:
-            gamma_value = float(gamma)
-        except ValueError:
-            raise RequestError(400, f"bad gamma {gamma!r}") from None
-        data = service.kernel_artifact_bytes(digest, gamma_value)
-        if data is None:
-            raise RequestError(
-                404, f"no cached kernel for {digest} at gamma={gamma}"
-            )
         return Response(200, data, content_type="application/octet-stream")
 
     # -- job handlers --------------------------------------------------

@@ -77,7 +77,7 @@ from repro.incremental.sweep import (
     compute_sweep_id,
     expand_grid,
 )
-from repro.incremental.update import update_index, update_kernel
+from repro.incremental.update import update_index
 from repro.matrix.expression import ExpressionMatrix
 from repro.matrix.summary import matrix_digest
 from repro.obs.log import get_logger
@@ -339,9 +339,9 @@ class MiningService:
         )
         self._m_inc_kernel_builds = registry.counter(
             "repro_incremental_kernel_builds_total",
-            "Kernel acquisitions by mode: artifact-cache hit (cached), "
-            "delta-updated from the parent matrix's kernel (delta), or "
-            "packed from scratch (cold).",
+            "Index-and-kernel acquisitions by mode: artifact-cache hit "
+            "(cached), delta-updated from the parent matrix's artifact "
+            "(delta), or built from scratch (cold).",
             labelnames=("mode",),
         )
         self._m_inc_sweeps = registry.counter(
@@ -356,7 +356,7 @@ class MiningService:
     def _collect_cache_metrics(self) -> str:
         stats = self.cache.stats
         samples = []
-        for artifact in ("index", "kernel", "result"):
+        for artifact in ("index", "result"):
             for event in ("hit", "miss", "store"):
                 samples.append((
                     {"artifact": artifact, "event": event},
@@ -412,7 +412,7 @@ class MiningService:
         )
         text += render_family(
             "repro_fleet_affinity_total", "counter",
-            "Lease grants by kernel-affinity outcome.",
+            "Lease grants by artifact-affinity outcome.",
             [
                 ({"outcome": "hit"}, float(snap["affinity_hits"])),
                 ({"outcome": "miss"}, float(snap["affinity_misses"])),
@@ -563,12 +563,6 @@ class MiningService:
         except OSError:
             return None
 
-    def kernel_artifact_bytes(
-        self, digest: str, gamma: float
-    ) -> Optional[bytes]:
-        """The cached pickled kernel for (digest, gamma), or ``None``."""
-        return self.cache.get_kernel_bytes(digest, gamma)
-
     # ------------------------------------------------------------------
     # Public API: submit / status / result / cancel / delete
     # ------------------------------------------------------------------
@@ -651,7 +645,7 @@ class MiningService:
         parent, persisted content-addressed, and the lineage edge is
         recorded — then the child is submitted as an ordinary job.  The
         executor consults the lineage store when it picks the job up,
-        so the job delta-updates the parent's index/kernel artifacts
+        so the job delta-updates the parent's index artifact
         and stitches clean shards from the parent's result instead of
         re-mining them (docs/incremental.md).
 
@@ -1210,117 +1204,64 @@ class MiningService:
         params = parameters_from_dict(record.parameters)
 
         # 1b. Lineage: a job on a revised matrix becomes delta-aware —
-        #     index/kernel are delta-updated from the parent's cached
-        #     artifacts and clean shards are stitched from the parent
+        #     the index is delta-updated from the parent's cached
+        #     artifact and clean shards are stitched from the parent
         #     job.  Every reuse path is best-effort; losing the parent
         #     only loses speed, never correctness.
         lineage = self._revision_context(record)
 
-        # 2. RWave^gamma index: cache hit, delta-update, or cold build.
+        # 2. RWave^gamma index — the Definition 3.1 tables and the packed
+        #    Eq. 3 kernel, one artifact keyed by (digest, gamma): cache
+        #    hit, delta-update from the parent's artifact (only new or
+        #    changed rows and planes are rebuilt), or cold build; then
+        #    one best-effort store.
         with tracer.span("index", parent=root) as index_span:
             index = self.cache.get_index(record.matrix_digest, params.gamma)
-            index_cache_hit = index is not None
-            index_build = "cached" if index_cache_hit else "cold"
+            cache_hit = index is not None
+            build = "cached" if cache_hit else "cold"
+            parent_digest: Optional[str] = None
             if index is None and lineage is not None:
                 parent_index = self.cache.get_index(
                     lineage[0].parent_digest, params.gamma
                 )
                 if parent_index is not None:
                     try:
-                        index = update_index(
+                        updated = update_index(
                             parent_index, matrix, lineage[2]
-                        ).index
-                        index_build = "delta"
+                        )
                     except (TypeError, ValueError):
-                        index = None
+                        updated = None
+                    if updated is not None:
+                        index = updated.index
+                        build = "delta"
+                        parent_digest = lineage[0].parent_digest
+                        index_span.set_attribute(
+                            "reused_planes", updated.reused_planes
+                        )
+                        index_span.set_attribute(
+                            "rebuilt_planes", updated.rebuilt_planes
+                        )
             if index is None:
                 index = RWaveIndex(matrix, params.gamma)
-            if not index_cache_hit:
+            if not cache_hit:
                 try:
                     self.cache.put_index(
                         record.matrix_digest,
                         params.gamma,
                         index,
-                        parent_digest=(
-                            lineage[0].parent_digest
-                            if index_build == "delta"
-                            else None
-                        ),
+                        parent_digest=parent_digest,
                     )
                 except OSError:
                     pass  # best-effort: the in-memory index still serves
-            index_span.set_attribute("cache_hit", index_cache_hit)
-            index_span.set_attribute("build", index_build)
-
-        # 2b. Regulation kernel: determined by the same (digest, gamma)
-        #     key as the index.  On a hit the kernel is attached so the
-        #     miner skips the packbits build; on a revision, the parent
-        #     kernel is delta-updated (only new/changed planes rebuilt)
-        #     and stored immediately; otherwise the miner builds it
-        #     lazily and it is stored after the search.
-        with tracer.span("kernel", parent=root) as kernel_span:
-            kernel = self.cache.get_kernel(
-                record.matrix_digest, params.gamma
-            )
-            kernel_cache_hit = kernel is not None
-            kernel_build = "cached" if kernel_cache_hit else "cold"
-            if kernel is None and lineage is not None:
-                parent_kernel = self.cache.get_kernel(
-                    lineage[0].parent_digest, params.gamma
-                )
-                if parent_kernel is not None:
-                    try:
-                        updated = update_kernel(
-                            parent_kernel,
-                            lineage[1],
-                            matrix,
-                            lineage[2],
-                            gamma=params.gamma,
-                        )
-                    except (TypeError, ValueError):
-                        updated = None
-                    if updated is not None:
-                        kernel = updated.kernel
-                        kernel_build = "delta"
-                        kernel_span.set_attribute(
-                            "reused_planes", updated.reused_planes
-                        )
-                        kernel_span.set_attribute(
-                            "rebuilt_planes", updated.rebuilt_planes
-                        )
-                        try:
-                            self.cache.put_kernel(
-                                record.matrix_digest,
-                                params.gamma,
-                                kernel,
-                                parent_digest=lineage[0].parent_digest,
-                            )
-                        except OSError:
-                            pass
-            if kernel is None and lineage is not None:
-                # No cached parent kernel to delta-update (worker pools
-                # build kernels in child processes, so a pool-mined
-                # parent leaves nothing behind).  Build the child's
-                # kernel eagerly and store it: this one hop is cold,
-                # but every later revision in the lineage delta-updates.
-                kernel = index.kernel
-                try:
-                    self.cache.put_kernel(
-                        record.matrix_digest, params.gamma, kernel
-                    )
-                except OSError:
-                    pass
-            if kernel is not None:
-                index.attach_kernel(kernel)
-            kernel_span.set_attribute("cache_hit", kernel_cache_hit)
-            kernel_span.set_attribute("build", kernel_build)
-        self._m_inc_kernel_builds.labels(mode=kernel_build).inc()
+            index_span.set_attribute("cache_hit", cache_hit)
+            index_span.set_attribute("build", build)
+        self._m_inc_kernel_builds.labels(mode=build).inc()
         self.jobs.update(
             job_id,
-            index_cache_hit=index_cache_hit,
-            kernel_cache_hit=kernel_cache_hit,
+            index_cache_hit=cache_hit,
+            kernel_cache_hit=cache_hit,
             result_cache_hit=False,
-            kernel_build=kernel_build,
+            kernel_build=build,
         )
 
         # 3. The sharded search, with live progress, cancellation,
@@ -1508,23 +1449,8 @@ class MiningService:
         mine_span.end()
 
         # 4. Persist the result (serialize v1, names included) and close.
-        #    A kernel the in-process miner built lazily is memoized for
-        #    the next job on the same (matrix, gamma); worker pools build
-        #    kernels in child processes, so there is nothing to store.
         #    All cache writes are best-effort: a full or flaky disk must
         #    not fail a job that mined successfully.
-        if (
-            not kernel_cache_hit
-            and kernel_build == "cold"
-            and lineage is None  # revision jobs stored theirs eagerly
-            and index.has_kernel
-        ):
-            try:
-                self.cache.put_kernel(
-                    record.matrix_digest, params.gamma, index.kernel
-                )
-            except OSError:
-                pass
         result = outcome.result
         payload = result_to_dict(result, matrix)
         progress["nodes_expanded"] = result.statistics.nodes_expanded

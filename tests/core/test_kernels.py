@@ -7,9 +7,9 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.core import kernels as kernels_module
 from repro.core.kernels import DEFAULT_SLICE_CACHE, RegulationKernel
 from repro.core.rwave import RWaveIndex
-from repro.matrix.expression import ExpressionMatrix
 
 
 def random_matrix(n_genes=23, n_conditions=11, seed=7):
@@ -17,9 +17,9 @@ def random_matrix(n_genes=23, n_conditions=11, seed=7):
     return rng.normal(size=(n_genes, n_conditions)) * 10.0
 
 
-def kernel_for(values, gamma=0.15, **kwargs):
+def kernel_for(values, gamma=0.15):
     thresholds = gamma * (values.max(axis=1) - values.min(axis=1))
-    return RegulationKernel(values, thresholds, **kwargs), thresholds
+    return RegulationKernel(values, thresholds), thresholds
 
 
 def brute_up(values, thresholds):
@@ -74,11 +74,10 @@ class TestPackedRelation:
         assert kernel.is_up_regulated(0, 2, 0)  # diff == 2.0
 
     def test_chunked_pack_matches_unchunked(self, monkeypatch):
-        import repro.core.kernels as kernels_module
-
         values = random_matrix(n_genes=40, n_conditions=9, seed=3)
         kernel, thresholds = kernel_for(values)
-        monkeypatch.setattr(kernels_module, "_PACK_CHUNK", 7)
+        # 7 * 9 * 9 pairs: chunks of 7 genes at 9 conditions.
+        monkeypatch.setattr(kernels_module, "_PACK_PAIRS", 7 * 9 * 9)
         chunked = RegulationKernel(values, thresholds)
         np.testing.assert_array_equal(kernel._packed, chunked._packed)
 
@@ -96,10 +95,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="non-negative"):
             RegulationKernel(np.zeros((2, 3)), np.array([0.1, -0.1]))
 
-    def test_rejects_negative_cache(self):
-        with pytest.raises(ValueError, match="slice_cache"):
-            RegulationKernel(np.zeros((2, 3)), np.zeros(2), slice_cache=-1)
-
     def test_condition_out_of_range(self):
         kernel, _ = kernel_for(random_matrix(5, 4))
         with pytest.raises(IndexError, match="out of range"):
@@ -114,8 +109,9 @@ class TestSliceCache:
         first = kernel.up_slice(2)
         assert kernel.up_slice(2) is first
 
-    def test_lru_eviction(self):
-        kernel, _ = kernel_for(random_matrix(8, 10), slice_cache=2)
+    def test_lru_eviction(self, monkeypatch):
+        monkeypatch.setattr(kernels_module, "DEFAULT_SLICE_CACHE", 2)
+        kernel, _ = kernel_for(random_matrix(8, 10))
         kernel.up_slice(0)
         kernel.up_slice(1)
         kernel.up_slice(2)  # evicts 0
@@ -123,8 +119,9 @@ class TestSliceCache:
         zero = kernel.up_slice(0)  # rebuilt, evicts 1
         assert kernel.up_slice(0) is zero
 
-    def test_cache_disabled(self):
-        kernel, _ = kernel_for(random_matrix(8, 10), slice_cache=0)
+    def test_cache_disabled(self, monkeypatch):
+        monkeypatch.setattr(kernels_module, "DEFAULT_SLICE_CACHE", 0)
+        kernel, _ = kernel_for(random_matrix(8, 10))
         first = kernel.up_slice(3)
         second = kernel.up_slice(3)
         assert first is not second
@@ -165,29 +162,13 @@ class TestIntrospectionAndPickle:
 
 
 class TestRWaveIntegration:
-    def test_lazy_build_and_attach(self, running_example):
+    def test_index_pickle_keeps_kernel_bytes(self, running_example):
         index = RWaveIndex(running_example, 0.15)
-        assert not index.has_kernel
-        kernel = index.kernel
-        assert index.has_kernel
-        assert index.kernel is kernel
-
-        other = RWaveIndex(running_example, 0.15)
-        other.attach_kernel(kernel)
-        assert other.kernel is kernel
-
-    def test_attach_rejects_shape_mismatch(self, running_example):
-        index = RWaveIndex(running_example, 0.15)
-        small = ExpressionMatrix(np.zeros((2, 3)))
-        foreign = RWaveIndex(small, 0.15).kernel
-        with pytest.raises(ValueError, match="shape"):
-            index.attach_kernel(foreign)
-
-    def test_index_pickle_excludes_kernel(self, running_example):
-        index = RWaveIndex(running_example, 0.15)
-        index.kernel  # force the lazy build
+        index.kernel.up_slice(0)  # dense caches are not pickled
         clone = pickle.loads(pickle.dumps(index))
-        assert not clone.has_kernel
+        assert clone.kernel.packed.tobytes() == index.kernel.packed.tobytes()
+        assert clone.kernel.packed.shape == index.kernel.packed.shape
+        assert clone.kernel.cache_info() == (0, 0)
 
     def test_kernel_agrees_with_index_thresholds(self, running_example):
         index = RWaveIndex(running_example, 0.15)

@@ -1,4 +1,5 @@
-"""Delta-updated kernels/indexes must be bit-identical to cold builds."""
+"""Delta-updated indexes (tables and kernel) must be bit-identical to
+cold builds."""
 
 from __future__ import annotations
 
@@ -14,28 +15,27 @@ from repro.incremental import (
     DropGenes,
     apply_delta,
     update_index,
-    update_kernel,
 )
 from tests.incremental.conftest import bimodal_matrix
 
 GAMMA = 0.6
 
 
-def _cold_kernel(matrix):
-    return RegulationKernel(
-        matrix.values, gene_thresholds(matrix, GAMMA)
-    )
+def _update_from_cold(parent, child, delta):
+    """Delta-update the parent's cold index; return the update."""
+    return update_index(RWaveIndex(parent, GAMMA), child, delta)
 
 
 def _assert_kernels_identical(updated, matrix):
-    cold = _cold_kernel(matrix)
+    cold = RegulationKernel(matrix.values, gene_thresholds(matrix, GAMMA))
     assert updated.packed.shape == cold.packed.shape
-    np.testing.assert_array_equal(updated.packed, cold.packed)
+    assert updated.packed.tobytes() == cold.packed.tobytes()
 
 
 def _assert_indexes_identical(updated, matrix):
     cold = RWaveIndex(matrix, GAMMA)
     np.testing.assert_array_equal(updated.thresholds, cold.thresholds)
+    assert updated.kernel.packed.tobytes() == cold.kernel.packed.tobytes()
     np.testing.assert_array_equal(updated.max_up, cold.max_up)
     np.testing.assert_array_equal(updated.max_down, cold.max_down)
     for mine, theirs in zip(updated.models, cold.models):
@@ -60,11 +60,8 @@ class TestKernelAppendConditions:
             values=rng.uniform(0.0, 10.0, size=(n_new, parent.n_genes)),
         )
         child = apply_delta(parent, delta)
-        parent_kernel = _cold_kernel(parent)
-        update = update_kernel(
-            parent_kernel, parent, child, delta, gamma=GAMMA
-        )
-        _assert_kernels_identical(update.kernel, child)
+        update = _update_from_cold(parent, child, delta)
+        _assert_kernels_identical(update.index.kernel, child)
         assert update.reused_planes + update.rebuilt_planes == (
             parent.n_genes
         )
@@ -78,12 +75,10 @@ class TestKernelAppendConditions:
         ) / 2.0
         delta = AppendConditions(names=("mid",), values=mid[None, :])
         child = apply_delta(parent, delta)
-        update = update_kernel(
-            _cold_kernel(parent), parent, child, delta, gamma=GAMMA
-        )
+        update = _update_from_cold(parent, child, delta)
         assert update.reused_planes == parent.n_genes
         assert update.rebuilt_planes == 0
-        _assert_kernels_identical(update.kernel, child)
+        _assert_kernels_identical(update.index.kernel, child)
 
     def test_range_widening_append_rebuilds_that_gene(self):
         parent = bimodal_matrix(6, 9, seed=4)
@@ -93,12 +88,10 @@ class TestKernelAppendConditions:
         new[2] = parent.values[2].max() + 5.0  # widen gene 2's range
         delta = AppendConditions(names=("wide",), values=new[None, :])
         child = apply_delta(parent, delta)
-        update = update_kernel(
-            _cold_kernel(parent), parent, child, delta, gamma=GAMMA
-        )
+        update = _update_from_cold(parent, child, delta)
         assert update.rebuilt_planes == 1
         assert update.reused_planes == parent.n_genes - 1
-        _assert_kernels_identical(update.kernel, child)
+        _assert_kernels_identical(update.index.kernel, child)
 
 
 class TestKernelGeneDeltas:
@@ -109,12 +102,10 @@ class TestKernelGeneDeltas:
             values=bimodal_matrix(2, 9, seed=6).values,
         )
         child = apply_delta(parent, delta)
-        update = update_kernel(
-            _cold_kernel(parent), parent, child, delta, gamma=GAMMA
-        )
+        update = _update_from_cold(parent, child, delta)
         assert update.reused_planes == parent.n_genes
         assert update.rebuilt_planes == 2
-        _assert_kernels_identical(update.kernel, child)
+        _assert_kernels_identical(update.index.kernel, child)
 
     def test_drop_genes_bit_identical(self):
         parent = bimodal_matrix(8, 9, seed=8)
@@ -122,26 +113,19 @@ class TestKernelGeneDeltas:
             genes=(parent.gene_names[0], parent.gene_names[5])
         )
         child = apply_delta(parent, delta)
-        update = update_kernel(
-            _cold_kernel(parent), parent, child, delta, gamma=GAMMA
-        )
+        update = _update_from_cold(parent, child, delta)
         assert update.reused_planes == child.n_genes
         assert update.rebuilt_planes == 0
-        _assert_kernels_identical(update.kernel, child)
+        _assert_kernels_identical(update.index.kernel, child)
 
     def test_shape_mismatch_rejected(self):
         parent = bimodal_matrix(6, 8, seed=9)
         other = bimodal_matrix(6, 8, seed=10)
         delta = AppendGenes(names=("x",), values=np.zeros((1, 8)))
-        child = apply_delta(parent, delta)
         wrong = apply_delta(other, delta)
         with pytest.raises(ValueError):
-            update_kernel(
-                _cold_kernel(parent),
-                parent,
-                ExpressionMatrix_like_wrong_shape(wrong),
-                delta,
-                gamma=GAMMA,
+            _update_from_cold(
+                parent, ExpressionMatrix_like_wrong_shape(wrong), delta
             )
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from repro.core.rwave import RWaveIndex
 from repro.matrix.summary import matrix_digest
-from repro.service.cache import ArtifactCache
+from repro.service.cache import ArtifactCache, index_key
 
 
 @pytest.fixture
@@ -40,7 +40,7 @@ def _old_layout_states(index):
     }
     return {
         "untagged": untagged,
-        "older-tag": {**index.__getstate__(), "layout": 1},
+        "older-tag": {**index.__getstate__(), "layout": 2},
     }
 
 
@@ -68,6 +68,19 @@ class TestIndexArtifacts:
         artifact.write_bytes(b"not a pickle")
         assert cache.get_index(digest, 0.15) is None
         assert entry_name not in cache.keys()
+
+    def test_wrong_type_artifact_is_dropped(self, cache, running_example):
+        digest = matrix_digest(running_example)
+        cache.put_index(digest, 0.15, RWaveIndex(running_example, 0.15))
+        key = index_key(digest, 0.15)
+        artifact = cache.root / f"{key}.pkl"
+        artifact.write_bytes(pickle.dumps({"not": "an index"}))
+        assert cache.get_index(digest, 0.15) is None
+        # Dropped on the first miss: the next lookup never re-reads it.
+        assert key not in cache.keys()
+        assert not artifact.exists()
+        assert cache.get_index(digest, 0.15) is None
+        assert cache.stats.index_misses == 2
 
     @pytest.mark.parametrize("which", ["untagged", "older-tag"])
     def test_old_layout_artifact_is_a_miss(self, cache, running_example,
@@ -183,51 +196,54 @@ class TestPersistence:
 
 
 class TestKernelArtifacts:
+    """The packed kernel rides inside the index artifact."""
+
     def test_round_trip(self, cache, running_example):
         digest = matrix_digest(running_example)
-        index = RWaveIndex(running_example, 0.15)
-        kernel = index.kernel
-        assert cache.get_kernel(digest, 0.15) is None
-        cache.put_kernel(digest, 0.15, kernel)
-        again = cache.get_kernel(digest, 0.15)
+        kernel = RWaveIndex(running_example, 0.15).kernel
+        cache.put_index(digest, 0.15, RWaveIndex(running_example, 0.15))
+        again = cache.get_index(digest, 0.15)
         assert again is not None
-        assert again.shape == kernel.shape
+        assert again.kernel.shape == kernel.shape
         for last in range(running_example.n_conditions):
-            assert (again.up_slice(last) == kernel.up_slice(last)).all()
+            assert (
+                again.kernel.up_slice(last) == kernel.up_slice(last)
+            ).all()
 
     def test_keyed_by_gamma(self, cache, running_example):
         digest = matrix_digest(running_example)
-        cache.put_kernel(
-            digest, 0.15, RWaveIndex(running_example, 0.15).kernel
-        )
-        assert cache.get_kernel(digest, 0.3) is None
+        for gamma in (0.15, 0.3):
+            cache.put_index(digest, gamma, RWaveIndex(running_example, gamma))
+        for gamma in (0.15, 0.3):
+            cold = RWaveIndex(running_example, gamma).kernel.packed
+            again = cache.get_index(digest, gamma)
+            assert again is not None
+            assert again.kernel.packed.tobytes() == cold.tobytes()
 
-    def test_keyed_apart_from_indexes(self, cache, running_example):
+    def test_shares_the_index_key(self, cache, running_example):
         digest = matrix_digest(running_example)
-        index = RWaveIndex(running_example, 0.15)
-        cache.put_index(digest, 0.15, index)
-        cache.put_kernel(digest, 0.15, index.kernel)
-        keys = cache.keys()
-        assert any(k.startswith("index-") for k in keys)
-        assert any(k.startswith("kernel-") for k in keys)
+        cache.put_index(digest, 0.15, RWaveIndex(running_example, 0.15))
+        assert list(cache.keys()) == [index_key(digest, 0.15)]
+        assert cache.index_keys() == [index_key(digest, 0.15)]
 
     def test_corrupt_artifact_is_a_miss(self, cache, running_example):
         digest = matrix_digest(running_example)
-        cache.put_kernel(
-            digest, 0.15, RWaveIndex(running_example, 0.15).kernel
+        index = RWaveIndex(running_example, 0.15)
+        cache.put_index(digest, 0.15, index)
+        # One gene plane short of the matrix: the loader rejects it.
+        state = {**index.__getstate__(), "packed": index.kernel.packed[1:]}
+        next(cache.root.glob("index-*.pkl")).write_bytes(
+            pickle.dumps(_OldLayoutIndex(state))
         )
-        next(cache.root.glob("kernel-*.pkl")).write_bytes(b"not a pickle")
-        assert cache.get_kernel(digest, 0.15) is None
-        assert not any(k.startswith("kernel-") for k in cache.keys())
+        assert cache.get_index(digest, 0.15) is None
+        assert not cache.keys()
 
     def test_stats_track_hits_and_misses(self, cache, running_example):
         digest = matrix_digest(running_example)
-        cache.get_kernel(digest, 0.15)
-        cache.put_kernel(
-            digest, 0.15, RWaveIndex(running_example, 0.15).kernel
-        )
-        cache.get_kernel(digest, 0.15)
+        cache.get_index(digest, 0.15)
+        cache.put_index(digest, 0.15, RWaveIndex(running_example, 0.15))
+        assert cache.get_index(digest, 0.15).kernel is not None
         stats = cache.stats.as_dict()
-        assert stats["kernel_misses"] == 1
-        assert stats["kernel_stores"] == 1
-        assert stats["kernel_hits"] == 1
+        assert (stats["index_misses"], stats["index_stores"]) == (1, 1)
+        assert stats["index_hits"] == 1
+        assert not any(name.startswith("kernel") for name in stats)

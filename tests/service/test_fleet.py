@@ -20,7 +20,7 @@ from repro.core.params import MiningParameters
 from repro.core.serialize import result_to_dict
 from repro.matrix.expression import ExpressionMatrix
 from repro.matrix.summary import matrix_digest
-from repro.service.cache import kernel_cache_key
+from repro.service.cache import index_key
 from repro.service.fleet import (
     FleetNode,
     FleetState,
@@ -376,10 +376,10 @@ class TestAffinity:
     ):
         state = FleetState(lease_ttl=30.0, local_mining=False)
         thread, box = _start_job(state, small_matrix, small_params)
-        key = kernel_cache_key(
+        key = index_key(
             matrix_digest(small_matrix), small_params.gamma
         )
-        lease = _lease_or_wait(state, "node-warm", kernels=[key])
+        lease = _lease_or_wait(state, "node-warm", artifacts=[key])
         assert lease["affinity_hit"] is True
         cold = state.lease("node-cold")
         if cold is not None:
@@ -394,7 +394,7 @@ class TestAffinity:
                     lease_id=granted["lease_id"],
                 ))
         while thread.is_alive():
-            more = state.lease("node-warm", kernels=[key])
+            more = state.lease("node-warm", artifacts=[key])
             if more is None:
                 time.sleep(0.01)
                 continue
@@ -564,15 +564,6 @@ class TestFleetService:
             assert raw == service.matrix_artifact_bytes(
                 record.matrix_digest
             )
-            # Kernel not built yet: 404 maps to None.
-            assert client.fetch_kernel(
-                record.matrix_digest, paper_params.gamma
-            ) is None
-            service.run_pending()
-            fetched = client.fetch_kernel(
-                record.matrix_digest, paper_params.gamma
-            )
-            assert fetched is not None
         finally:
             server.shutdown()
             server.server_close()

@@ -287,22 +287,38 @@ class TestRevisionJobs:
             in text
         )
 
+    def test_pool_mined_parent_leaves_a_complete_artifact(
+        self, tmp_path, matrix
+    ):
+        # The kernel is part of the index artifact, so a parent mined on
+        # a worker pool leaves everything a revision delta-updates.
+        service = MiningService(tmp_path / "pool", n_workers=2)
+        parent = service.submit(matrix, PARAMS)
+        run_done(service, parent)
+        delta = DropGenes(genes=(matrix.gene_names[3],))
+        __, record = service.submit_revision(
+            matrix_digest(matrix), delta, PARAMS
+        )
+        done = run_done(service, record)
+        assert done.kernel_build == "delta"
+        assert_bit_identical(
+            service.result(record.job_id),
+            scratch_clusters(tmp_path, apply_delta(matrix, delta)),
+        )
+
     def test_cold_revision_bootstraps_the_lineage(
         self, service, matrix, tmp_path
     ):
-        # Worker pools build kernels in child processes, so a
-        # pool-mined parent leaves no cached kernel to delta-update.
-        # Simulate that by evicting the parent's kernel: the first
-        # revision must fall back to a cold build but *store* it, so a
-        # chained second revision delta-updates.
+        # An evicted parent artifact leaves nothing to delta-update:
+        # the first revision must fall back to a cold build but *store*
+        # it, so a chained second revision delta-updates.
         parent = service.submit(matrix, PARAMS)
         run_done(service, parent)
         cache = service.cache
         parent_digest = matrix_digest(matrix)
         for key in list(cache.artifacts_for_digest(parent_digest)):
-            if "kernel" in key:
-                cache.drop_artifact(key)
-        assert cache.get_kernel(parent_digest, PARAMS.gamma) is None
+            cache.drop_artifact(key)
+        assert cache.get_index(parent_digest, PARAMS.gamma) is None
 
         first = AppendGenes(
             names=("gA",),
@@ -315,7 +331,7 @@ class TestRevisionJobs:
         assert done1.kernel_build == "cold"
         # ... but the cold build was stored for the lineage:
         assert (
-            cache.get_kernel(rev1.child_digest, PARAMS.gamma) is not None
+            cache.get_index(rev1.child_digest, PARAMS.gamma) is not None
         )
 
         second = DropGenes(genes=(matrix.gene_names[1],))
@@ -428,7 +444,7 @@ class TestCacheLineage:
         # Evict every parent artifact; the children must still load.
         for key in cache.artifacts_for_digest(parent_digest):
             cache.drop_artifact(key)
-        assert cache.get_kernel(revision.child_digest, PARAMS.gamma) is not None
+        assert cache.get_index(revision.child_digest, PARAMS.gamma) is not None
 
 
 class TestIncrementalEndpoints:

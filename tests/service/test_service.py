@@ -209,10 +209,11 @@ class TestKernelCache:
         service.run_pending()
         record = service.status(first.job_id)
         assert record.kernel_cache_hit is False
-        assert service.cache.stats.kernel_stores == 1
+        assert service.cache.stats.index_stores == 1
 
         # Same matrix and gamma, different epsilon: the result cache
-        # cannot answer (new job id) but the kernel artifact must.
+        # cannot answer (new job id) but the index artifact, which
+        # carries the kernel, must.
         relaxed = paper_params.with_overrides(epsilon=0.3)
         second = service.submit(running_example, relaxed)
         assert second.job_id != first.job_id
@@ -220,10 +221,10 @@ class TestKernelCache:
         done = service.status(second.job_id)
         assert done.kernel_cache_hit is True
         assert done.result_cache_hit is False
-        assert service.cache.stats.kernel_hits == 1
-        # The second job attached the cached kernel; nothing was rebuilt
-        # or re-stored.
-        assert service.cache.stats.kernel_stores == 1
+        assert service.cache.stats.index_hits == 1
+        # The second job used the cached kernel; nothing was rebuilt or
+        # re-stored.
+        assert service.cache.stats.index_stores == 1
 
     def test_different_gamma_rebuilds_kernel(self, service, running_example,
                                              paper_params):
@@ -234,7 +235,7 @@ class TestKernelCache:
         )
         service.run_pending()
         assert service.status(other.job_id).kernel_cache_hit is False
-        assert service.cache.stats.kernel_stores == 2
+        assert service.cache.stats.index_stores == 2
 
     def test_completed_job_records_phase_timers(self, service,
                                                 running_example,
