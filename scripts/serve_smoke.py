@@ -19,7 +19,13 @@ Exercises the full `reg-cluster serve` stack end to end:
    (different epsilon, so the result cache cannot answer) and require
    the index artifact, which carries the regulation kernel, to be
    built once and reused — the second job must record a kernel cache
-   hit.
+   hit;
+7. stop the first daemon and open a fresh service over its store: the
+   job records and the cache manifest are append-only journals, so the
+   restart replays them (and compacts the manifest).  The finished job
+   must still read ``done`` with the direct-mining result, and after
+   its record is dropped a resubmission must be answered from the
+   replayed result cache (``result_cache_hit``).
 
 Exit status 0 on success; prints a unified summary either way.
 Used by ``make serve-smoke`` and the CI ``service-smoke`` job.
@@ -51,6 +57,41 @@ def wait_healthy(client: ServiceClient, timeout: float = 30.0) -> dict:
         if time.monotonic() >= deadline:
             raise TimeoutError(f"daemon never became healthy: {health}")
         time.sleep(0.05)
+
+
+def restart_over_store(store: str, matrix, params: MiningParameters,
+                       job_id: str, direct: dict) -> bool:
+    """Reopen a stopped daemon's store and check what it replays."""
+    restarted = MiningService(store, n_workers=1)
+    try:
+        status = restarted.status(job_id)
+        if status.state is not JobState.DONE:
+            print(f"smoke: FAIL — after restart the job reads "
+                  f"{status.state.value}, expected done")
+            return False
+        if restarted.result(job_id) != direct:
+            print("smoke: FAIL — after restart the result differs from "
+                  "direct mining")
+            return False
+        # Drop the record but not its cached result: the resubmission
+        # must be answered from the replayed cache manifest.
+        restarted.jobs.delete(job_id)
+        again = restarted.submit(matrix, params)
+        restarted.run_pending()
+        again = restarted.status(again.job_id)
+        if again.state is not JobState.DONE or not again.result_cache_hit:
+            print(f"smoke: FAIL — resubmission after restart ended "
+                  f"{again.state.value} with result_cache_hit="
+                  f"{again.result_cache_hit!r}")
+            return False
+        if restarted.result(job_id) != direct:
+            print("smoke: FAIL — cached result differs after restart")
+            return False
+    finally:
+        restarted.stop()
+    print("smoke: restart over the same store: job done, result identical, "
+          "resubmission answered from the result cache")
+    return True
 
 
 def main() -> int:
@@ -135,6 +176,10 @@ def main() -> int:
             server.shutdown()
             server.server_close()
             thread.join(timeout=5)
+
+        if not restart_over_store(store, matrix, params, record["job_id"],
+                                  direct):
+            return 1
 
     # The (matrix, gamma) index artifact carries the packed kernel:
     # one store on the first job, one hit on the second.

@@ -1070,7 +1070,7 @@ class ProjectIndex:
         """Functions reachable *only* from lifecycle methods
         (``__init__`` and friends) run before the object is shared and
         are exempt from shared-state rules, like the lifecycle methods
-        themselves (``ArtifactCache._load_manifest``,
+        themselves (``ArtifactCache._open_journal``,
         ``MiningService._register_metrics``)."""
         incoming: Dict[str, Set[str]] = {}
         for info in self.functions.values():

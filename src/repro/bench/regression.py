@@ -43,10 +43,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import resource
+import os
+import pickle
 import subprocess
 import sys
 import time
+import traceback
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -145,20 +147,52 @@ def suite_cases(scale: str) -> Tuple[BenchCase, ...]:
     raise ValueError(f"scale must be 'smoke' or 'full', got {scale!r}")
 
 
-def _peak_rss_kb() -> int:
-    """Peak resident set size of this process, in kilobytes.
+def _in_fresh_child(measure: Callable[[], Dict[str, Any]]) -> Dict[str, Any]:
+    """Run one measurement in a forked child and add the child's own peak
+    resident set size as ``peak_rss_kb``.
 
-    ``ru_maxrss`` is kilobytes on Linux and bytes on macOS; normalize to
-    kilobytes so snapshots agree across platforms.
+    A process's ``ru_maxrss`` only grows, so measured in this process it
+    would report the maximum over every case run before; a fresh child
+    starts from this process's current size instead.  The child is
+    forked, not spawned, because case build functions are closures that a
+    fresh interpreter could not receive; the suite runs no threads of
+    its own when it forks.
     """
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    if sys.platform == "darwin":
-        peak //= 1024
-    return int(peak)
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child: measure, send the result, never return
+        status = 1
+        try:
+            os.close(read_end)
+            with os.fdopen(write_end, "wb") as out:
+                pickle.dump(measure(), out)
+            status = 0
+        except BaseException:
+            traceback.print_exc()
+            raise
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    with os.fdopen(read_end, "rb") as inp:
+        message = inp.read()
+    __, status, usage = os.wait4(pid, 0)
+    if status != 0 or not message:
+        raise RuntimeError(
+            f"measurement child failed (wait status {status}); its "
+            "traceback is on stderr"
+        )
+    payload: Dict[str, Any] = pickle.loads(message)
+    # ru_maxrss is kilobytes on Linux and bytes on macOS.
+    peak = usage.ru_maxrss
+    payload["peak_rss_kb"] = int(
+        peak // 1024 if sys.platform == "darwin" else peak
+    )
+    return payload
 
 
 def run_case(case: BenchCase, *, use_kernel: bool = True) -> Dict[str, Any]:
-    """Measure one case: best wall time over repeats, plus search stats.
+    """Measure one case in a fresh forked child (so ``peak_rss_kb`` is
+    this case's own): best wall time over repeats, plus search stats.
 
     The matrix is built once outside the timed regions.  Each repeat
     times a fresh RWave^gamma index build (``index_seconds``: the
@@ -170,6 +204,10 @@ def run_case(case: BenchCase, *, use_kernel: bool = True) -> Dict[str, Any]:
     ``phase_seconds`` comes from the same repeat as ``wall_seconds``,
     so the phases never add up to more than the wall time.
     """
+    return _in_fresh_child(lambda: _measure_case(case, use_kernel))
+
+
+def _measure_case(case: BenchCase, use_kernel: bool) -> Dict[str, Any]:
     matrix, params = case.build()
     index_timings: List[float] = []
     runs: List[Tuple[float, Any]] = []
@@ -199,7 +237,6 @@ def run_case(case: BenchCase, *, use_kernel: bool = True) -> Dict[str, Any]:
             stats.nodes_expanded / wall if wall > 0 else 0.0
         ),
         "clusters": len(result),
-        "peak_rss_kb": _peak_rss_kb(),
         "phase_seconds": stats.timers.as_dict(),
     }
 
@@ -318,8 +355,13 @@ def run_incremental_case(case: IncrementalCase) -> Dict[str, Any]:
     throwaway store, so the comparison includes the real job path
     (persistence, planning, kernel delta-update, stitching) — not just
     the raw search.  The parent mine is outside the timed region; the
-    minimum over repeats is reported for both sides.
+    minimum over repeats is reported for both sides.  The case runs in
+    a fresh forked child, so ``peak_rss_kb`` is its own.
     """
+    return _in_fresh_child(lambda: _measure_incremental_case(case))
+
+
+def _measure_incremental_case(case: IncrementalCase) -> Dict[str, Any]:
     import shutil
     import tempfile
 
@@ -384,7 +426,6 @@ def run_incremental_case(case: IncrementalCase) -> Dict[str, Any]:
         ),
         "reused_shards": reused,
         "n_shards": case.n_conditions + case.n_appended,
-        "peak_rss_kb": _peak_rss_kb(),
     }
 
 

@@ -16,10 +16,21 @@ Two artifact kinds are memoized:
     A completed mining result in the ``reg-cluster/v1`` JSON schema,
     keyed by job id (which already encodes digest + all parameters).
 
-The cache is a directory of artifact files plus a ``manifest.json``
-recording sizes and last-use ordering; total bytes are bounded by
-evicting least-recently-used entries.  Everything is guarded by one
-lock, so HTTP threads and the execution worker can share an instance.
+The cache is a directory of artifact files plus ``manifest.jsonl``, an
+append-only journal of ``put`` (key, file, size, parent digest),
+``touch`` (a hit, so the LRU order survives a reopen) and ``drop`` (an
+eviction or removal) lines.  Nothing on the job path renames over an
+existing file: on ext4 that rename forces a data flush of tens of
+milliseconds, where an append costs microseconds
+(``docs/performance.md``, "Persistence").  Opening a cache replays the
+journal (skipping a torn tail), prunes entries whose files are gone,
+deletes every file no entry names (a stale ``.tmp`` from a crash, or
+an artifact of an older store, which is therefore a miss) and rewrites
+the journal as a compact snapshot; it is compacted again whenever it
+grows past :data:`JOURNAL_SLACK` lines per live entry.  Total bytes
+are bounded by evicting least-recently-used entries.  Everything is
+guarded by one lock, so HTTP threads and the execution worker can
+share an instance.
 """
 
 # The cache lock deliberately serializes artifact/manifest file I/O —
@@ -35,6 +46,7 @@ import os
 import pickle
 import re
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Set, Union
@@ -46,12 +58,21 @@ __all__ = [
     "ArtifactCache",
     "CacheStats",
     "DEFAULT_MAX_BYTES",
+    "JOURNAL_SLACK",
     "index_key",
 ]
 
 #: Default size bound: generous for indexes of paper-scale matrices
 #: (the 2884x17 yeast index pickles to a few MB).
 DEFAULT_MAX_BYTES = 256 * 1024 * 1024
+
+#: The manifest journal is compacted once it holds more than this many
+#: lines per live entry (plus one, so an emptied cache compacts too):
+#: a long-running daemon's journal stays bounded, and the compaction's
+#: rename is paid once per many appends.
+JOURNAL_SLACK = 8
+
+_JOURNAL = "manifest.jsonl"
 
 
 @dataclass
@@ -82,21 +103,24 @@ class CacheStats:
 class _ManifestEntry:
     file: str
     size: int
-    last_used: int = 0
     #: the parent matrix digest a delta-updated artifact was derived
     #: from (``None`` for cold-built artifacts) — lineage provenance,
     #: surfaced through :meth:`ArtifactCache.derived_from`
     parent_digest: Optional[str] = None
 
-    def to_dict(self) -> Dict[str, Any]:
-        payload: Dict[str, Any] = {
-            "file": self.file,
-            "size": self.size,
-            "last_used": self.last_used,
+    def put_line(self, key: str) -> Dict[str, Any]:
+        line: Dict[str, Any] = {
+            "op": "put", "key": key, "file": self.file, "size": self.size,
         }
         if self.parent_digest is not None:
-            payload["parent_digest"] = self.parent_digest
-        return payload
+            line["parent_digest"] = self.parent_digest
+        return line
+
+
+def _journal_text(lines: List[Dict[str, Any]]) -> str:
+    return "".join(
+        json.dumps(line, separators=(",", ":")) + "\n" for line in lines
+    )
 
 
 #: Index keys embed the matrix digest; results do not.
@@ -158,55 +182,95 @@ class ArtifactCache:
         self.fault_observer = fault_observer
         self.stats = CacheStats()
         self._lock = threading.RLock()
-        self._clock = 0
-        self._manifest: Dict[str, _ManifestEntry] = {}
+        #: live entries, least recently used first
+        self._manifest: "OrderedDict[str, _ManifestEntry]" = OrderedDict()
+        #: running total of the live entries' sizes
+        self._bytes = 0
+        #: lines in the journal file (live entries after a compaction)
+        self._journal_lines = 0
         #: secondary indexes over the manifest — matrix digest -> keys
         #: of its index artifacts, and parent digest -> keys of
         #: artifacts delta-derived from it.  Maintained on every
         #: insert/evict/drop so lineage lookups never scan the manifest.
         self._by_digest: Dict[str, Set[str]] = {}
         self._by_parent: Dict[str, Set[str]] = {}
-        # Construction is single-threaded, but the index helpers are
-        # shared with locked paths — hold the (reentrant) lock so every
-        # mutation of the secondary indexes is under it.
+        # Construction is single-threaded, but the helpers are shared
+        # with locked paths — hold the (reentrant) lock so every
+        # mutation of the manifest and its indexes is under it.
         with self._lock:
-            self._load_manifest()
+            self._open_journal()
 
     # ------------------------------------------------------------------
-    # Manifest persistence
+    # Manifest journal
     # ------------------------------------------------------------------
 
     @property
-    def _manifest_path(self) -> Path:
-        return self.root / "manifest.json"
+    def _journal_path(self) -> Path:
+        return self.root / _JOURNAL
 
-    def _load_manifest(self) -> None:
+    def _open_journal(self) -> None:
+        """Replay the journal, drop what it cannot vouch for, compact."""
         try:
-            payload = json.loads(self._manifest_path.read_text("utf-8"))
-        except (FileNotFoundError, json.JSONDecodeError):
-            return
-        for key, entry in payload.get("entries", {}).items():
-            if (self.root / entry["file"]).exists():
-                parent = entry.get("parent_digest")
-                self._manifest[key] = _ManifestEntry(
-                    file=entry["file"],
-                    size=int(entry["size"]),
-                    last_used=int(entry.get("last_used", 0)),
-                    parent_digest=None if parent is None else str(parent),
-                )
-                self._index_entry(key)
-        if self._manifest:
-            self._clock = max(e.last_used for e in self._manifest.values())
+            with open(self._journal_path, "rb") as handle:
+                for raw in handle:
+                    if not raw.strip():
+                        continue
+                    self._journal_lines += 1
+                    try:
+                        self._replay(json.loads(raw))
+                    except (ValueError, KeyError, TypeError):
+                        continue  # a torn tail: the kill mid-append
+        except FileNotFoundError:
+            pass
+        for key, entry in list(self._manifest.items()):
+            if not (self.root / entry.file).is_file():
+                self._forget(key)
+        named = {entry.file for entry in self._manifest.values()}
+        named.add(_JOURNAL)
+        for path in self.root.iterdir():
+            if path.name not in named and path.is_file():
+                path.unlink(missing_ok=True)
+        if self._journal_lines != len(self._manifest):
+            self._compact()
 
-    def _save_manifest(self) -> None:
-        payload = {
-            "entries": {
-                key: entry.to_dict() for key, entry in self._manifest.items()
-            }
-        }
-        tmp = self._manifest_path.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
-        os.replace(tmp, self._manifest_path)
+    def _replay(self, line: Dict[str, Any]) -> None:
+        op, key = line["op"], str(line["key"])
+        if op == "put":
+            parent = line.get("parent_digest")
+            self._add(key, _ManifestEntry(
+                file=str(line["file"]),
+                size=int(line["size"]),
+                parent_digest=None if parent is None else str(parent),
+            ))
+        elif op == "touch":
+            if key in self._manifest:
+                self._manifest.move_to_end(key)
+        elif op == "drop":
+            self._forget(key)
+        else:
+            raise ValueError(f"unknown journal op {op!r}")
+
+    def _append(self, lines: List[Dict[str, Any]]) -> None:
+        """Append journal lines; compact once the journal outgrows
+        :data:`JOURNAL_SLACK` lines per live entry."""
+        with open(self._journal_path, "a", encoding="ascii") as handle:
+            handle.write(_journal_text(lines))
+        self._journal_lines += len(lines)
+        if self._journal_lines > JOURNAL_SLACK * (len(self._manifest) + 1):
+            self._compact()
+
+    def _compact(self) -> None:
+        """Rewrite the journal as one ``put`` line per live entry, in LRU
+        order (temp file + rename, so a crash keeps the old journal)."""
+        tmp = self.root / f"{_JOURNAL}.tmp"
+        tmp.write_text(
+            _journal_text(
+                [entry.put_line(key) for key, entry in self._manifest.items()]
+            ),
+            encoding="ascii",
+        )
+        os.replace(tmp, self._journal_path)
+        self._journal_lines = len(self._manifest)
 
     # ------------------------------------------------------------------
     # Secondary indexes (matrix digest / parent digest -> keys)
@@ -237,10 +301,19 @@ class ArtifactCache:
                 if not bucket:
                     del self._by_parent[entry.parent_digest]
 
+    def _add(self, key: str, entry: _ManifestEntry) -> None:
+        """Insert one key as the most recently used (replacing any old
+        entry of that key, whose file is left to the caller)."""
+        self._forget(key)
+        self._manifest[key] = entry
+        self._bytes += entry.size
+        self._index_entry(key)
+
     def _forget(self, key: str) -> Optional[_ManifestEntry]:
         """Remove one key from manifest + indexes (file left to caller)."""
         entry = self._manifest.pop(key, None)
         if entry is not None:
+            self._bytes -= entry.size
             self._unindex_entry(key, entry)
         return entry
 
@@ -264,10 +337,6 @@ class ArtifactCache:
     # LRU core
     # ------------------------------------------------------------------
 
-    def _touch(self, key: str) -> None:
-        self._clock += 1
-        self._manifest[key].last_used = self._clock
-
     def _bump(self, counter: str) -> None:
         """Increment one :class:`CacheStats` field under the cache lock.
 
@@ -282,25 +351,23 @@ class ArtifactCache:
     def total_bytes(self) -> int:
         """Bytes currently accounted to cached artifacts."""
         with self._lock:
-            return sum(entry.size for entry in self._manifest.values())
+            return self._bytes
 
-    def _evict_for(self, incoming_key: str) -> None:
-        """Drop LRU entries until the bound holds (sparing the newcomer)."""
-        while (
-            sum(e.size for e in self._manifest.values()) > self.max_bytes
-        ):
-            victims = [k for k in self._manifest if k != incoming_key]
-            if not victims:
-                break
-            victim = min(victims, key=lambda k: self._manifest[k].last_used)
-            entry = self._forget(victim)
+    def _evict_for(self, incoming_key: str) -> List[Dict[str, Any]]:
+        """Drop LRU entries until the bound holds (sparing the newcomer);
+        returns their journal ``drop`` lines."""
+        drops: List[Dict[str, Any]] = []
+        while self._bytes > self.max_bytes:
+            victim = next(
+                (k for k in self._manifest if k != incoming_key), None
+            )
+            entry = None if victim is None else self._forget(victim)
             if entry is None:
-                continue
-            try:
-                (self.root / entry.file).unlink()
-            except FileNotFoundError:
-                pass
+                break
+            (self.root / entry.file).unlink(missing_ok=True)
             self.stats.evictions += 1
+            drops.append({"op": "drop", "key": victim})
+        return drops
 
     def _store(
         self,
@@ -322,15 +389,17 @@ class ArtifactCache:
             path = self.root / filename
             tmp = path.with_suffix(path.suffix + ".tmp")
             tmp.write_bytes(data)
+            # Rename to a fresh name only: a rename over an existing
+            # file flushes its data first on ext4.
+            old = self._forget(key)
+            if old is not None:
+                (self.root / old.file).unlink(missing_ok=True)
             os.replace(tmp, path)
-            self._forget(key)
-            self._manifest[key] = _ManifestEntry(
+            entry = _ManifestEntry(
                 file=filename, size=len(data), parent_digest=parent_digest
             )
-            self._index_entry(key)
-            self._touch(key)
-            self._evict_for(key)
-            self._save_manifest()
+            self._add(key, entry)
+            self._append([entry.put_line(key)] + self._evict_for(key))
 
     def _load(self, key: str) -> Optional[bytes]:
         with self._lock:
@@ -341,10 +410,11 @@ class ArtifactCache:
                 data = (self.root / entry.file).read_bytes()
             except FileNotFoundError:
                 self._forget(key)
-                self._save_manifest()
+                self._append([{"op": "drop", "key": key}])
                 return None
-            self._touch(key)
-            self._save_manifest()
+            if next(reversed(self._manifest)) != key:
+                self._manifest.move_to_end(key)
+                self._append([{"op": "touch", "key": key}])
             return data
 
     def keys(self) -> Dict[str, int]:
@@ -454,8 +524,5 @@ class ArtifactCache:
         with self._lock:
             entry = self._forget(key)
             if entry is not None:
-                try:
-                    (self.root / entry.file).unlink()
-                except FileNotFoundError:
-                    pass
-                self._save_manifest()
+                (self.root / entry.file).unlink(missing_ok=True)
+                self._append([{"op": "drop", "key": key}])

@@ -16,8 +16,13 @@ Job records move through a small state machine::
         │            ├──────> failed
         └────────────┴──────> cancelled
 
-and are persisted as one JSON file per job (atomic replace), so a
-restarted service sees every job it ever accepted.  ``degraded`` is the
+and are persisted as one append-only JSON-lines journal per job
+(``job-<id>.jsonl``): every save appends one line holding the whole
+record, and the last complete line wins, so a restarted service sees
+every job it ever accepted and a kill mid-append costs at most the
+line being written.  Appending never renames over an existing file —
+on ext4 that rename forces a data flush of tens of milliseconds
+(``docs/performance.md``, "Persistence").  ``degraded`` is the
 graceful-degradation terminal state (``docs/robustness.md``): the job
 finished with the merged clusters of its surviving shards, and its
 record lists the ``missing_shards`` that exhausted their retry budget.
@@ -45,7 +50,7 @@ import threading
 from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import IO, Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.core.cluster import RegCluster
 from repro.core.params import MiningParameters
@@ -171,8 +176,9 @@ class JobRecord:
     #: was the RWave index served from the artifact cache? (``None``
     #: until the job reaches the index-acquisition step)
     index_cache_hit: Optional[bool] = None
-    #: was the regulation kernel served from the artifact cache?
-    #: (``None`` until the job reaches the kernel-acquisition step)
+    #: was the regulation kernel served from the artifact cache?  The
+    #: kernel rides inside the index artifact, so this always equals
+    #: ``index_cache_hit`` (``None`` until the index is resolved)
     kernel_cache_hit: Optional[bool] = None
     #: was the whole result served from the artifact cache?
     result_cache_hit: Optional[bool] = None
@@ -210,9 +216,10 @@ class JobRecord:
     #: the parent job a revision job reused shards from (``None`` for
     #: ordinary jobs or when the parent offered nothing to reuse)
     revision_parent: Optional[str] = None
-    #: how this job's kernel was obtained: ``cached`` (artifact cache),
-    #: ``delta`` (incrementally updated from the parent's kernel), or
-    #: ``cold`` (packed from scratch); ``None`` until acquisition
+    #: how this job's index artifact (tables plus packed kernel) was
+    #: obtained by the one index resolver: ``cached`` (artifact
+    #: cache), ``delta`` (updated from the parent matrix's index), or
+    #: ``cold`` (built from scratch); ``None`` until resolution
     kernel_build: Optional[str] = None
     #: the sweep batch this job was submitted under (``None`` for
     #: individually submitted jobs)
@@ -230,13 +237,51 @@ class JobRecord:
         return cls(**data)
 
 
-class JobStore:
-    """Crash-safe job-record storage: one JSON file per job.
+#: Bytes read per step when scanning a record journal from its end.
+_TAIL_BLOCK = 8192
 
-    Writes go through a temp file + :func:`os.replace`, so a record on
-    disk is always a complete JSON document.  All mutation happens under
-    one lock, making the store safe to share between the HTTP threads
-    and the execution worker.
+
+def _lines_from_end(handle: IO[bytes]) -> Iterator[bytes]:
+    """The lines of a binary file, last first, read in blocks from the end."""
+    position = handle.seek(0, os.SEEK_END)
+    head = b""
+    while position > 0:
+        step = min(_TAIL_BLOCK, position)
+        position -= step
+        handle.seek(position)
+        lines = (handle.read(step) + head).split(b"\n")
+        head = lines.pop(0)  # may start before ``position``: not done yet
+        yield from reversed(lines)
+    yield head
+
+
+def _read_last_record(path: Path) -> Optional[JobRecord]:
+    """The last complete record of a job journal (``None`` if it has none
+    or does not exist)."""
+    try:
+        with open(path, "rb") as handle:
+            for line in _lines_from_end(handle):
+                if not line.strip():
+                    continue
+                try:
+                    return JobRecord.from_dict(json.loads(line))
+                except (ValueError, KeyError, TypeError):
+                    continue  # torn or unparsable: the line before wins
+    except FileNotFoundError:
+        pass
+    return None
+
+
+class JobStore:
+    """Crash-safe job-record storage: one JSON-lines journal per job.
+
+    :meth:`save` and :meth:`update` append one compact line holding the
+    whole record; readers take the last complete line, scanning from
+    the end of the file.  A torn or unparsable trailing line (a kill
+    mid-append) falls back to the line before it, and the next append
+    starts on a fresh line.  All mutation happens under one lock,
+    making the store safe to share between the HTTP threads and the
+    execution worker.
     """
 
     def __init__(self, root: Union[str, Path]) -> None:
@@ -251,39 +296,41 @@ class JobStore:
     def _path(self, job_id: str) -> Path:
         if not _JOB_ID_PATTERN.match(job_id):
             raise KeyError(f"malformed job id {job_id!r}")
-        return self.root / f"{job_id}.json"
+        return self.root / f"{job_id}.jsonl"
 
     # ------------------------------------------------------------------
     # CRUD
     # ------------------------------------------------------------------
 
     def save(self, record: JobRecord) -> JobRecord:
-        """Persist (create or overwrite) one record atomically."""
+        """Persist (create or supersede) one record: one appended line."""
         path = self._path(record.job_id)
+        line = json.dumps(
+            record.to_dict(), sort_keys=True, separators=(",", ":")
+        ).encode("ascii") + b"\n"
         with self._lock:
-            tmp = path.with_suffix(".json.tmp")
-            tmp.write_text(
-                json.dumps(record.to_dict(), sort_keys=True, indent=2) + "\n",
-                encoding="utf-8",
-            )
-            os.replace(tmp, path)
+            with open(path, "a+b") as handle:
+                end = handle.tell()
+                if end and os.pread(handle.fileno(), 1, end - 1) != b"\n":
+                    line = b"\n" + line  # close a torn tail first
+                handle.write(line)
         return record
 
     def exists(self, job_id: str) -> bool:
         try:
-            return self._path(job_id).exists()
+            self.get(job_id)
         except KeyError:
             return False
+        return True
 
     def get(self, job_id: str) -> JobRecord:
         """Load one record; raises :class:`KeyError` for unknown ids."""
         path = self._path(job_id)
         with self._lock:
-            try:
-                payload = json.loads(path.read_text(encoding="utf-8"))
-            except FileNotFoundError:
-                raise KeyError(f"unknown job {job_id!r}") from None
-        return JobRecord.from_dict(payload)
+            record = _read_last_record(path)
+        if record is None:
+            raise KeyError(f"unknown job {job_id!r}")
+        return record
 
     def update(self, job_id: str, **changes: Any) -> JobRecord:
         """Read-modify-write one record under the store lock."""
@@ -303,12 +350,11 @@ class JobStore:
     def list_records(self) -> List[JobRecord]:
         """Every stored record, oldest submission first."""
         with self._lock:
-            records = [
-                JobRecord.from_dict(
-                    json.loads(path.read_text(encoding="utf-8"))
-                )
-                for path in sorted(self.root.glob("job-*.json"))
+            loaded = [
+                _read_last_record(path)
+                for path in sorted(self.root.glob("job-*.jsonl"))
             ]
+        records = [record for record in loaded if record is not None]
         records.sort(key=lambda r: (r.submitted_at, r.job_id))
         return records
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from repro.bench import regression
@@ -128,6 +129,33 @@ class TestRunCase:
         legacy = run_case(TINY, use_kernel=False)
         assert kernel["clusters"] == legacy["clusters"]
         assert kernel["nodes_expanded"] == legacy["nodes_expanded"]
+
+
+def _bloated_build():
+    """The TINY case, after touching 96 MB that is freed again."""
+    ballast = np.ones(96 * 1024 * 1024 // 8)
+    ballast.sum()
+    del ballast
+    return TINY.build()
+
+
+class TestPeakRss:
+    def test_each_case_reports_its_own_peak(self):
+        """``peak_rss_kb`` is per case, not the maximum so far."""
+        big = BenchCase("bloated", _bloated_build, repeats=1)
+        small = BenchCase("tiny", TINY.build, repeats=1)
+        snapshot = run_suite(cases=[big, small])
+        peaks = {c["case"]: c["peak_rss_kb"] for c in snapshot["cases"]}
+        assert peaks["tiny"] > 0
+        assert peaks["tiny"] + 64 * 1024 < peaks["bloated"]
+
+    def test_a_failing_case_raises_in_the_parent(self, capfd):
+        def broken():
+            raise ValueError("no matrix today")
+
+        with pytest.raises(RuntimeError, match="measurement child failed"):
+            run_case(BenchCase("broken", broken, repeats=1))
+        assert "ValueError: no matrix today" in capfd.readouterr().err
 
 
 class TestRunSuite:

@@ -2,13 +2,22 @@
 
 from __future__ import annotations
 
+import json
 import pickle
+import shutil
+import tempfile
+from collections import OrderedDict
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.core.rwave import RWaveIndex
 from repro.matrix.summary import matrix_digest
-from repro.service.cache import ArtifactCache, index_key
+from repro.service.cache import JOURNAL_SLACK, ArtifactCache, index_key
 
 
 @pytest.fixture
@@ -247,3 +256,224 @@ class TestKernelArtifacts:
         assert (stats["index_misses"], stats["index_stores"]) == (1, 1)
         assert stats["index_hits"] == 1
         assert not any(name.startswith("kernel") for name in stats)
+
+
+def _journal_lines(root):
+    path = root / "manifest.jsonl"
+    if not path.exists():
+        return []
+    return [line for line in path.read_text("ascii").splitlines() if line]
+
+
+class TestJournalReopen:
+    """Opening a cache replays its journal and sweeps what it cannot vouch
+    for; the journal is then one ``put`` line per live entry."""
+
+    job_a = "job-" + "a" * 16
+    job_b = "job-" + "b" * 16
+
+    def test_torn_trailing_line_is_ignored(self, tmp_path):
+        first = ArtifactCache(tmp_path)
+        first.put_result(self.job_a, {"clusters": [1]})
+        first.put_result(self.job_b, {"clusters": [2]})
+        assert first.get_result(self.job_a) is not None  # a touch line
+        with open(tmp_path / "manifest.jsonl", "a", encoding="ascii") as h:
+            h.write('{"op":"drop","key":"result-job-')  # killed mid-append
+        second = ArtifactCache(tmp_path)
+        assert second.keys() == first.keys()
+        assert len(_journal_lines(tmp_path)) == 2  # compacted on open
+        assert second.get_result(self.job_b) == {"clusters": [2]}
+
+    def test_unnamed_artifact_file_is_deleted(self, tmp_path):
+        ArtifactCache(tmp_path).put_result(self.job_a, {"clusters": []})
+        orphan = tmp_path / f"result-{self.job_b}.json"
+        orphan.write_text('{"clusters": []}', encoding="utf-8")
+        again = ArtifactCache(tmp_path)
+        assert not orphan.exists()
+        assert again.get_result(self.job_b) is None
+        assert again.get_result(self.job_a) == {"clusters": []}
+
+    def test_stale_tmp_file_is_deleted(self, tmp_path):
+        ArtifactCache(tmp_path).put_result(self.job_a, {"clusters": []})
+        stale = [
+            tmp_path / f"result-{self.job_b}.json.tmp",
+            tmp_path / "manifest.jsonl.tmp",
+        ]
+        for path in stale:
+            path.write_bytes(b"half")
+        again = ArtifactCache(tmp_path)
+        assert not any(path.exists() for path in stale)
+        assert list(again.keys()) == [f"result-{self.job_a}"]
+
+    def test_legacy_manifest_opens_as_an_empty_cache(self, tmp_path):
+        artifact = tmp_path / f"result-{self.job_a}.json"
+        artifact.write_text('{"clusters": []}', encoding="utf-8")
+        legacy = tmp_path / "manifest.json"
+        legacy.write_text(
+            '{"entries": {"result-%s": {"file": "%s", "size": 16, '
+            '"last_used": 1}}}' % (self.job_a, artifact.name),
+            encoding="utf-8",
+        )
+        cache = ArtifactCache(tmp_path)
+        assert cache.keys() == {}
+        assert cache.total_bytes() == 0
+        assert cache.get_result(self.job_a) is None
+        assert not artifact.exists() and not legacy.exists()
+
+    def test_fresh_directory_writes_no_journal(self, tmp_path):
+        ArtifactCache(tmp_path)
+        assert not (tmp_path / "manifest.jsonl").exists()
+
+    def test_journal_compacts_past_its_bound(self, tmp_path):
+        cache = ArtifactCache(tmp_path)
+        cache.put_result(self.job_a, {"clusters": []})
+        cache.put_result(self.job_b, {"clusters": []})
+        bound = JOURNAL_SLACK * (2 + 1)
+        for __ in range(3 * bound):  # alternate hits: one touch each
+            cache.get_result(self.job_a)
+            cache.get_result(self.job_b)
+            assert len(_journal_lines(tmp_path)) <= bound
+        assert len(_journal_lines(tmp_path)) < bound
+        assert sorted(ArtifactCache(tmp_path).keys()) == sorted(cache.keys())
+
+    def test_repeated_hits_on_the_newest_entry_append_nothing(self, tmp_path):
+        cache = ArtifactCache(tmp_path)
+        cache.put_result(self.job_a, {"clusters": []})
+        for __ in range(5):
+            assert cache.get_result(self.job_a) is not None
+        assert len(_journal_lines(tmp_path)) == 1
+
+
+# ----------------------------------------------------------------------
+# Stateful model check: the journal-backed cache against a dict + LRU
+# ----------------------------------------------------------------------
+
+def _small_matrix(seed):
+    from repro.matrix.expression import ExpressionMatrix
+
+    rng = np.random.default_rng(seed)
+    return ExpressionMatrix(rng.uniform(0.0, 10.0, size=(3, 6)))
+
+
+_INDEX_POOL = [
+    (matrix_digest(matrix), gamma, RWaveIndex(matrix, gamma))
+    for matrix in (_small_matrix(0), _small_matrix(1))
+    for gamma in (0.15, 0.3)
+]
+_INDEX_SIZES = {
+    index_key(digest, gamma): len(
+        pickle.dumps(index, protocol=pickle.HIGHEST_PROTOCOL)
+    )
+    for digest, gamma, index in _INDEX_POOL
+}
+_JOB_POOL = ["job-" + c * 16 for c in "0123"]
+_PARENTS = [None, "e" * 64, "f" * 64]
+#: holds two or three artifacts, so puts keep evicting
+_MAX_BYTES = 2 * max(_INDEX_SIZES.values()) + 600
+
+
+def _result_payload(n):
+    return {"format": "reg-cluster/v1", "data": "r" * n}
+
+
+class CacheMachine(RuleBasedStateMachine):
+    def __init__(self):
+        super().__init__()
+        self.root = Path(tempfile.mkdtemp(prefix="cache-machine-"))
+        self.cache = ArtifactCache(self.root, max_bytes=_MAX_BYTES)
+        #: key -> (size, parent digest, payload), least recently used first
+        self.model: "OrderedDict[str, tuple]" = OrderedDict()
+        self.evictions = 0
+
+    def teardown(self):
+        shutil.rmtree(self.root, ignore_errors=True)
+
+    def _model_put(self, key, size, parent, payload):
+        self.model.pop(key, None)
+        self.model[key] = (size, parent, payload)
+        total = sum(entry[0] for entry in self.model.values())
+        while total > _MAX_BYTES:
+            victim = next((k for k in self.model if k != key), None)
+            if victim is None:
+                break
+            total -= self.model.pop(victim)[0]
+            self.evictions += 1
+
+    def _model_get(self, key):
+        entry = self.model.get(key)
+        if entry is not None:
+            self.model.move_to_end(key)
+        return entry
+
+    @rule(which=st.integers(0, len(_JOB_POOL) - 1), n=st.integers(0, 900))
+    def put_result(self, which, n):
+        job_id, payload = _JOB_POOL[which], _result_payload(n)
+        self.cache.put_result(job_id, payload)
+        size = len(json.dumps(payload, sort_keys=True).encode("utf-8"))
+        self._model_put(f"result-{job_id}", size, None, payload)
+
+    @rule(which=st.integers(0, len(_INDEX_POOL) - 1),
+          parent=st.sampled_from(_PARENTS))
+    def put_index(self, which, parent):
+        digest, gamma, index = _INDEX_POOL[which]
+        self.cache.put_index(digest, gamma, index, parent_digest=parent)
+        key = index_key(digest, gamma)
+        self._model_put(key, _INDEX_SIZES[key], parent, index)
+
+    @rule(which=st.integers(0, len(_JOB_POOL) - 1))
+    def get_result(self, which):
+        job_id = _JOB_POOL[which]
+        entry = self._model_get(f"result-{job_id}")
+        got = self.cache.get_result(job_id)
+        assert got == (None if entry is None else entry[2])
+
+    @rule(which=st.integers(0, len(_INDEX_POOL) - 1))
+    def get_index(self, which):
+        digest, gamma, index = _INDEX_POOL[which]
+        entry = self._model_get(index_key(digest, gamma))
+        got = self.cache.get_index(digest, gamma)
+        assert (got is None) == (entry is None)
+        if got is not None:
+            assert (got.max_up == index.max_up).all()
+
+    @rule(which=st.integers(0, len(_JOB_POOL) + len(_INDEX_POOL) - 1))
+    def drop_artifact(self, which):
+        keys = [f"result-{j}" for j in _JOB_POOL] + sorted(_INDEX_SIZES)
+        self.cache.drop_artifact(keys[which])
+        self.model.pop(keys[which], None)
+
+    @rule()
+    def reopen(self):
+        self.evictions -= self.cache.stats.evictions
+        self.cache = ArtifactCache(self.root, max_bytes=_MAX_BYTES)
+        assert len(_journal_lines(self.root)) == len(self.model)
+
+    @invariant()
+    def agrees_with_the_model(self):
+        assert self.cache.keys() == {
+            key: entry[0] for key, entry in self.model.items()
+        }
+        assert self.cache.total_bytes() == sum(
+            entry[0] for entry in self.model.values()
+        )
+        assert self.cache.stats.evictions == self.evictions
+        for parent in _PARENTS[1:]:
+            assert self.cache.derived_from(parent) == sorted(
+                key for key, entry in self.model.items() if entry[1] == parent
+            )
+        files = {path.name for path in self.root.iterdir()}
+        assert files - {"manifest.jsonl"} == {
+            f"{key}.pkl" if key.startswith("index-") else f"{key}.json"
+            for key in self.model
+        }
+
+    @invariant()
+    def journal_stays_within_its_bound(self):
+        lines = len(_journal_lines(self.root))
+        assert lines <= JOURNAL_SLACK * (len(self.model) + 1)
+
+
+CacheMachine.TestCase.settings = settings(
+    max_examples=40, stateful_step_count=30, deadline=None
+)
+TestCacheMachine = CacheMachine.TestCase

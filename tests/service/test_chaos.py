@@ -15,9 +15,16 @@ The acceptance bar (docs/robustness.md):
 
 from __future__ import annotations
 
+import json
+import tempfile
 import threading
+import time
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.miner import (
     MiningTimeout,
@@ -249,6 +256,47 @@ class TestServiceChaos:
         assert second.result(record.job_id) == result_to_dict(
             reference, running_example
         )
+
+    @settings(max_examples=8, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(cut=st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
+    def test_torn_record_line_resumes_from_last_complete_record(
+        self, running_example, paper_params, reference, cut
+    ):
+        with tempfile.TemporaryDirectory() as tmp:
+            store = Path(tmp) / "store"
+            first = MiningService(store)
+            record = first.submit(running_example, paper_params)
+            running = first.jobs.update(
+                record.job_id, state=JobState.RUNNING, started_at=time.time()
+            )
+            for start in range(7):
+                shard = RegClusterMiner(running_example, paper_params).mine(
+                    start_conditions=[start]
+                )
+                first.jobs.save_shard(
+                    record.job_id,
+                    (start, shard.clusters, shard.statistics.as_dict()),
+                )
+            # SIGKILL mid-append: the next record's line is cut short.
+            line = json.dumps(
+                replace(running, state=JobState.DONE).to_dict(),
+                sort_keys=True, separators=(",", ":"),
+            )
+            torn = line[: max(1, int(cut * len(line)))]
+            journal = store / "jobs" / f"{record.job_id}.jsonl"
+            with open(journal, "a", encoding="ascii") as handle:
+                handle.write(torn)
+            assert first.jobs.get(record.job_id) == running
+
+            second = MiningService(store)  # re-arms from the last record
+            assert second.run_pending() == 1
+            done = second.status(record.job_id)
+            assert done.state is JobState.DONE
+            assert done.resumed_shards == list(range(7))
+            assert second.result(record.job_id) == result_to_dict(
+                reference, running_example
+            )
 
     def test_cache_write_failure_never_fails_the_job(
         self, tmp_path, running_example, paper_params, reference

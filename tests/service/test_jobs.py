@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.params import MiningParameters
 from repro.service.jobs import (
@@ -159,6 +163,64 @@ class TestJobStore:
         store.save(later)
         store.save(record)
         assert [r.submitted_at for r in store.list_records()] == [100.0, 200.0]
+
+
+class TestRecordJournal:
+    """Each record is a JSON-lines journal; the last complete line wins."""
+
+    def test_updates_append_one_line_each(self, tmp_path, record):
+        store = JobStore(tmp_path)
+        store.save(record)
+        store.update(record.job_id, state=JobState.RUNNING)
+        store.update(record.job_id, state=JobState.DONE)
+        journal = tmp_path / f"{record.job_id}.jsonl"
+        assert len(journal.read_text("ascii").splitlines()) == 3
+        assert [p.name for p in tmp_path.iterdir()] == [journal.name]
+
+    def test_legacy_json_record_is_not_read(self, tmp_path, record):
+        import json
+
+        (tmp_path / f"{record.job_id}.json").write_text(
+            json.dumps(record.to_dict()), encoding="utf-8"
+        )
+        store = JobStore(tmp_path)
+        assert not store.exists(record.job_id)
+        assert store.list_records() == []
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        states=st.lists(st.sampled_from(list(JobState)), min_size=1,
+                        max_size=6),
+        tail=st.binary(max_size=300).filter(lambda b: b"\n" not in b),
+        pad=st.integers(min_value=0, max_value=9000),
+    )
+    def test_torn_tail_falls_back_then_heals(self, tmp_path_factory, record,
+                                             states, tail, pad):
+        root = tmp_path_factory.mktemp("journal")
+        store = JobStore(root)
+        # ``pad`` grows the records past one read block from the end.
+        saved = [
+            store.save(replace(record, state=state, error="e" * pad))
+            for state in states
+        ]
+        with open(root / f"{record.job_id}.jsonl", "ab") as handle:
+            handle.write(tail)  # a kill mid-append (or trailing garbage)
+        assert store.get(record.job_id) == saved[-1]
+        assert JobStore(root).list_records() == [saved[-1]]
+        healed = store.update(record.job_id, state=JobState.FAILED)
+        assert JobStore(root).get(record.job_id) == healed
+
+    def test_journal_without_a_complete_line_is_unknown(self, tmp_path,
+                                                        record):
+        (tmp_path / f"{record.job_id}.jsonl").write_bytes(b'{"job_id": "jo')
+        store = JobStore(tmp_path)
+        assert not store.exists(record.job_id)
+        assert store.list_records() == []
+        with pytest.raises(KeyError, match="unknown job"):
+            store.get(record.job_id)
+        store.save(record)
+        assert store.get(record.job_id) == record
 
 
 class TestShardCheckpoints:
